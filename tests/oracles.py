@@ -261,3 +261,42 @@ def nbar_oracle(n: int) -> int:
     for p, e in sympy.factorint(n).items():
         out *= int(p) ** (e - 1)
     return out
+
+
+# --- algebras: unit and associativity from the structure constants -----------
+
+def _vector(entries) -> dict:
+    """Sum (k, coeff) pairs into {k: coeff}, dropping zero coefficients."""
+    out = {}
+    for k, c in entries:
+        out[k] = out[k] + c if k in out else c
+    return {k: c for k, c in out.items() if not c.is_zero()}
+
+
+def _times_basis(table, vec: dict, k: int, basis_on_left: bool) -> dict:
+    """e_k * vec if basis_on_left, else vec * e_k, from table alone."""
+    return _vector((l, c * d) for m, c in vec.items()
+                   for l, d in (table[k][m] if basis_on_left else table[m][k]))
+
+
+def associativity_defect(table, triples=None):
+    """The first failure of unit or associativity in a multiplication table.
+
+    table[i][j] lists the (k, coeff) pairs of e_i * e_j.  Checks that e_0 is
+    a two-sided unit, then (e_i e_j) e_k == e_i (e_j e_k) on every triple of
+    `triples` (default: all dim^3).  Returns a description, or None.
+    """
+    dim = len(table)
+    for j in range(dim):
+        for side, entries in (("left", table[0][j]), ("right", table[j][0])):
+            vec = _vector(entries)
+            if vec.keys() != {j} or not vec[j].is_one():
+                return f"e_0 is not a {side} unit on e_{j}"
+    if triples is None:
+        triples = itertools.product(range(dim), repeat=3)
+    for i, j, k in triples:
+        left = _times_basis(table, _vector(table[i][j]), k, basis_on_left=False)
+        right = _times_basis(table, _vector(table[j][k]), i, basis_on_left=True)
+        if left != right:
+            return f"(e_{i} e_{j}) e_{k} != e_{i} (e_{j} e_{k})"
+    return None

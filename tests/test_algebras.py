@@ -1,10 +1,14 @@
 import random
 
 import pytest
+from oracles import associativity_defect
 
 from skone.algebras import (
+    _cyclic_presentation,
+    OpaqueTag,
     canonical_involution,
     commutator,
+    cyclic_artin_schreier,
     cyclic_kummer,
     is_division_biquaternion,
     is_sl1,
@@ -218,7 +222,6 @@ def test_cyclic_kummer_matches_symbol():
 
 
 def test_cyclic_artin_schreier():
-    from skone.algebras import cyclic_artin_schreier
     F2 = FiniteField(2)
     A = cyclic_artin_schreier(F2, 1, 1)
     u = A.generator("u")
@@ -268,3 +271,79 @@ def test_splitting_embedding_satisfies_relations():
     for i in range(2):
         for j in range(2):
             assert (xy[i][j] + yx[i][j]).is_zero()
+
+
+def test_constructors_pass_the_associativity_oracle():
+    from skone.ktheory import laurent_var_element
+    T = parse_field("Qp(109)[zeta_9]((t1))((t2))")
+    t1, t2 = laurent_var_element(T, "t1"), laurent_var_element(T, "t2")
+    F7 = FiniteField(7)
+    cases = {
+        "symbol n=2 over Q": symbol_algebra(Q, 2, -3, 2),
+        "symbol n=3 over Q[zeta_3]": symbol_algebra(parse_field("Q[zeta_3]"), 2, 5, 3),
+        "symbol n=2 over F_7": symbol_algebra(F7, 3, 5, 2),
+        "symbol n=3 over F_7": symbol_algebra(F7, 3, 5, 3),
+        "symbol n=2 over the tower": symbol_algebra(T, 6, t1, 2),
+        "symbol n=3 over the tower": symbol_algebra(T, 109, t2, 3),
+        "p-algebra over F_2": p_algebra(FiniteField(2), 1, 1),
+        "p-algebra over F_3": p_algebra(FiniteField(3), 2, 2),
+        "twisted lift": twisted_lift_quaternion(Q, 1, 3),
+        "cyclic Kummer": cyclic_kummer(Q, 2, 5, 2),
+        "cyclic Artin-Schreier": cyclic_artin_schreier(FiniteField(3), 1, 2),
+        "tensor of two quaternions": tensor(hamilton(), symbol_algebra(Q, 2, 5, 2)),
+    }
+    for name, A in cases.items():
+        assert associativity_defect(A.table) is None, name
+
+
+def test_degree5_symbol_passes_the_sampled_oracle():
+    A = symbol_algebra(parse_field("Q[zeta_5]"), 2, 3, 5)
+    rng = random.Random(5)
+    triples = [tuple(rng.randrange(A.dim) for _ in range(3)) for _ in range(1000)]
+    assert associativity_defect(A.table, triples) is None
+
+
+def test_oracle_flags_a_non_associative_table():
+    one = Q.one()
+    # e1 e1 = e2, e1 e2 = e0, e2 e1 = e1: (e1 e1) e1 = e1 but e1 (e1 e1) = e0
+    table = [[[(0, one)], [(1, one)], [(2, one)]],
+             [[(1, one)], [(2, one)], [(0, one)]],
+             [[(2, one)], [(1, one)], [(2, one)]]]
+    assert associativity_defect(table) is not None
+    table[0][1] = [(1, one + one)]
+    assert "unit" in associativity_defect(table)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: twisted_lift_quaternion(Q, 1, 0),
+    lambda: symbol_algebra(Q, -1, 0, 2),
+    lambda: p_algebra(FiniteField(2), 1, 0),
+], ids=["twisted_lift", "symbol", "p_algebra"])
+def test_zero_b_is_rejected(build):
+    with pytest.raises(InconsistentConstruction):
+        build()
+
+
+def test_sigma_not_a_ring_map_is_rejected():
+    # K = Q[u]/(u^2 - 2); sigma(u) = 1 - u has sigma^2 = id, but
+    # (1 - u)^2 = 3 - 2u != 2, so sigma is not a ring endomorphism of K
+    with pytest.raises(InconsistentConstruction):
+        _cyclic_presentation(Q, [Q.elem(-2), Q.zero()], [Q.one(), -Q.one()],
+                             2, Q.elem(3), OpaqueTag())
+
+
+def test_sigma_of_wrong_order_is_rejected():
+    # sigma(u) = -u is a ring automorphism of Q[u]/(u^2 - 2) of order 2,
+    # so sigma^3 != id
+    with pytest.raises(InconsistentConstruction):
+        _cyclic_presentation(Q, [Q.elem(-2), Q.zero()], [Q.zero(), -Q.one()],
+                             3, Q.elem(3), OpaqueTag())
+
+
+def test_degree7_symbol_relations():
+    A = symbol_algebra(parse_field("Q[zeta_7]"), 2, 3, 7)
+    x, y = A.generator("x"), A.generator("y")
+    assert A.dim == 49
+    assert x ** 7 == A.coerce(2)
+    assert y ** 7 == A.coerce(3)
+    assert x * y == (y * x).scale(A.tag.zeta)

@@ -1,4 +1,6 @@
 import json
+import pathlib
+import shlex
 
 import pytest
 
@@ -140,3 +142,26 @@ def test_selftest(capsys):
     code, doc = run_json(capsys, ["selftest"])
     assert code == EXIT_OK
     assert doc["payload"]["all_pass"] is True
+
+
+def readme_cli_lines():
+    """The command lines of the README's CLI section, in order."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```")[1]
+    return [line for line in block.splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize("line", readme_cli_lines())
+def test_readme_cli_example(line, tmp_path, monkeypatch, capsys):
+    lexer = shlex.shlex(line, posix=True, punctuation_chars=True)
+    lexer.whitespace_split = True
+    argv = list(lexer)
+    assert argv[0] == "skone"
+    # an unquoted ( ) ; & | < > is a shell operator, not part of an argument
+    assert not any(set(tok) <= set("();&|<>") for tok in argv), argv
+    monkeypatch.chdir(tmp_path)
+    if "--config" in argv:
+        # the line's comment shows the config file's contents
+        config = argv[argv.index("--config") + 1]
+        (tmp_path / config).write_text(line.split("#", 1)[1])
+    assert run(argv[1:]) == EXIT_OK
