@@ -31,8 +31,9 @@ from dataclasses import dataclass
 
 from .errors import InconsistentConstruction, NonInvertibleElement, UnsupportedTower
 from .fields import FieldElement, FieldTower, primitive_root_of_unity
-from .linalg import berkowitz_charpoly, rref, solve
-from .poly import Poly, QuotElt, QuotientRing, monic_nth_root, monic_sqrt_char2, scalar_of
+from .linalg import berkowitz_charpoly, identity, mat_mul, rref, solve
+from .poly import (Poly, QuotElt, QuotientRing, monic_nth_root, monic_sqrt_char2, power,
+                   scalar_of)
 
 
 # ---------------------------------------------------------------------------
@@ -127,14 +128,7 @@ class AlgElement:
     def __pow__(self, n: int):
         if n < 0:
             return self.algebra.inverse(self) ** (-n)
-        result = self.algebra.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, self.algebra.one())
 
     def __eq__(self, other):
         o = self.algebra.coerce(other)
@@ -275,16 +269,15 @@ class AlgebraPresentation:
                 "left-multiplication fallback")
         K, Lu, Lv, ext_deg, n = self._cyclic
         mats = {}
-        ident = _mat_identity(K, n)
-        pu = ident
+        pu = identity(K, n)
         for r in range(ext_deg):
             pv = pu
             for s in range(n):
                 mats[r * n + s] = pv
                 if s < n - 1:
-                    pv = _mat_mul_ring(pv, Lv, K)
+                    pv = mat_mul(pv, Lv, K.zero())
             if r < ext_deg - 1:
-                pu = _mat_mul_ring(pu, Lu, K)
+                pu = mat_mul(pu, Lu, K.zero())
         self._K = K
         self._monomial_mats = mats
         return K, mats
@@ -365,25 +358,7 @@ def _lift_quot(K: QuotientRing, e, via_left: bool):
         return K.coerce(e)
     # e is a QuotElt over the base tower with vector of tower elements
     vec = [K.base.coerce(c) for c in e.vec]
-    return QuotElt(K, vec + [K.base_zero()] * (K.deg - len(vec)))
-
-
-def _mat_identity(K: QuotientRing, n: int):
-    return [[K.one() if i == j else K.zero() for j in range(n)] for i in range(n)]
-
-
-def _mat_mul_ring(a, b, K: QuotientRing):
-    n = len(a)
-    out = [[K.zero() for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for l in range(n):
-            x = a[i][l]
-            if x.is_zero():
-                continue
-            for j in range(n):
-                if not b[l][j].is_zero():
-                    out[i][j] = out[i][j] + x * b[l][j]
-    return out
+    return QuotElt(K, vec + [K.coeff_zero] * (K.deg - len(vec)))
 
 
 def _kron(a, b, K: QuotientRing):

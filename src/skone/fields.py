@@ -21,7 +21,8 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from operator import not_
 
 from .errors import (
     FieldSyntaxError,
@@ -30,6 +31,7 @@ from .errors import (
     PrecisionExhausted,
     UnsupportedTower,
 )
+from .poly import poly_divmod, poly_inverse_mod, poly_mul, power
 
 DEFAULT_PADIC_PRECISION = 8
 DEFAULT_LAURENT_TERMS = 16
@@ -106,69 +108,8 @@ def integer_nth_root(x: int, n: int) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# F_p[x] helpers (coefficient lists, low degree first, entries in 0..p-1)
+# F_q moduli: F_p[x] on integer lists reduced mod p, through the poly kernel
 # ---------------------------------------------------------------------------
-
-def _fp_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _fp_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _fp_trim(out)
-
-
-def _fp_mod(a: list[int], m: list[int], p: int) -> list[int]:
-    a = _fp_trim([x % p for x in a])
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], -1, p)
-    while a and len(a) - 1 >= dm:
-        coef = (a[-1] * inv_lead) % p
-        shift = len(a) - 1 - dm
-        for i, mi in enumerate(m):
-            a[shift + i] = (a[shift + i] - coef * mi) % p
-        a = _fp_trim(a)
-    return a
-
-
-def _fp_poly_inverse(a: list[int], m: list[int], p: int) -> list[int]:
-    """Inverse of a mod m over F_p via extended Euclid."""
-    r0, r1 = m[:], _fp_mod(a, m, p)
-    if not r1:
-        raise NonInvertibleElement("zero has no inverse")
-    t0: list[int] = []
-    t1: list[int] = [1]
-    while r1:
-        # long division r0 = q*r1 + r
-        r = r0[:]
-        dm = len(r1) - 1
-        inv_lead = pow(r1[-1], -1, p)
-        q = [0] * max(1, len(r) - dm)
-        while r and len(r) - 1 >= dm:
-            coef = (r[-1] * inv_lead) % p
-            shift = len(r) - 1 - dm
-            q[shift] = coef
-            for i, mi in enumerate(r1):
-                r[shift + i] = (r[shift + i] - coef * mi) % p
-            _fp_trim(r)
-        qt1 = _fp_mul(_fp_trim(q), t1, p)
-        n = max(len(t0), len(qt1))
-        tnew = _fp_trim([((t0[i] if i < len(t0) else 0) -
-                          (qt1[i] if i < len(qt1) else 0)) % p for i in range(n)])
-        r0, r1, t0, t1 = r1, _fp_trim(r), t1, tnew
-    if len(r0) != 1:
-        raise NonInvertibleElement("element not invertible modulo the modulus")
-    c = pow(r0[0], -1, p)
-    return _fp_trim([(c * x) % p for x in t0])
-
 
 @lru_cache(maxsize=None)
 def _find_irreducible(p: int, e: int) -> list[int]:
@@ -176,69 +117,29 @@ def _find_irreducible(p: int, e: int) -> list[int]:
     if e == 1:
         return [0, 1]
     # iterate coefficient vectors lexicographically
-    total = p ** e
-    for idx in range(total):
-        coeffs = []
-        t = idx
-        for _ in range(e):
-            coeffs.append(t % p)
-            t //= p
-        poly = coeffs + [1]
-        if _fp_is_irreducible(poly, p):
+    for idx in range(p ** e):
+        poly = [(idx // p ** i) % p for i in range(e)] + [1]
+        if _is_irreducible(poly, p):
             return poly
     raise RuntimeError("unreachable: irreducible polynomial exists")
 
 
-def _fp_is_irreducible(f: list[int], p: int) -> bool:
-    # x^(p^e) == x mod f and gcd checks via distinct-degree shortcut:
-    # f (degree e) irreducible iff x^(p^e) = x mod f and
-    # gcd(x^(p^(e/q)) - x, f) = 1 for all prime divisors q of e.
-    e = len(f) - 1
+def _is_irreducible(f: list[int], p: int) -> bool:
+    """Ben-Or's test: f of degree e >= 2 is irreducible over F_p iff
+    x^(p^k) - x is prime to f for k = 1 .. e // 2."""
+    norm, inv = p.__rmod__, partial(pow, exp=-1, mod=p)
 
-    def xpow(k_exp: int) -> list[int]:
-        # x^(p^k_exp) mod f by repeated Frobenius powering
-        r = [0, 1]
-        for _ in range(k_exp):
-            r = _fp_polypow(r, p, f, p)
-        return r
+    def mulmod(a, b):
+        return poly_divmod(poly_mul(a, b, 0, not_), f, 0, not_, None, norm)[1]
 
-    if _fp_trim([(a - b) % p for a, b in
-                 zip(xpow(e) + [0, 0], [0, 1] + [0] * (len(f) + 1))]):
-        return False
-    for q in factorize(e):
-        d = xpow(e // q)
-        g = _fp_gcd(_fp_submod(d, [0, 1], p), f, p)
-        if len(g) != 1:
+    xk = [0, 1]  # x^(p^k) mod f
+    for _ in range((len(f) - 1) // 2):
+        xk = power(xk, p, [1], mulmod)
+        try:
+            poly_inverse_mod([xk[0], (xk[1] - 1) % p] + xk[2:], f, 0, not_, inv, norm)
+        except NonInvertibleElement:
             return False
     return True
-
-
-def _fp_submod(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    return _fp_trim([((a[i] if i < len(a) else 0) -
-                      (b[i] if i < len(b) else 0)) % p for i in range(n)])
-
-
-def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _fp_trim(a[:]), _fp_trim(b[:])
-    while b:
-        a = _fp_mod(a, b, p)
-        a, b = b, a
-    if a:
-        c = pow(a[-1], -1, p)
-        a = [(c * x) % p for x in a]
-    return a
-
-
-def _fp_polypow(a: list[int], n: int, m: list[int], p: int) -> list[int]:
-    r = [1]
-    base = _fp_mod(a, m, p)
-    while n:
-        if n & 1:
-            r = _fp_mod(_fp_mul(r, base, p), m, p)
-        base = _fp_mod(_fp_mul(base, base, p), m, p)
-        n >>= 1
-    return r
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +270,8 @@ class FiniteField(FieldTower):
         self.e = e
         self.characteristic = p
         self.modulus = _find_irreducible(p, e)
+        self._norm = p.__rmod__  # x -> x % p
+        self._coeff_inv = partial(pow, exp=-1, mod=p)
 
     def _key(self):
         return (self.q,)
@@ -396,13 +299,14 @@ class FiniteField(FieldTower):
         return tuple((-x) % self.p for x in self._pad(a))
 
     def _mul(self, a, b):
-        prod = _fp_mod(_fp_mul(list(a), list(b), self.p), self.modulus, self.p)
-        return tuple(self._pad(prod))
+        prod = poly_mul(a, b, 0, not_)
+        return tuple(self._pad(
+            poly_divmod(prod, self.modulus, 0, not_, None, self._norm)[1]))
 
     def _inv(self, a):
         if self._is_zero(a):
             raise NonInvertibleElement("1/0 in finite field")
-        inv = _fp_poly_inverse(list(a), self.modulus, self.p)
+        inv = poly_inverse_mod(a, self.modulus, 0, not_, self._coeff_inv, self._norm)
         return tuple(self._pad(inv))
 
     def _eq(self, a, b):
@@ -857,9 +761,6 @@ class RootAdjunction(FieldTower):
         z = _teichmueller(r, base.p, base.precision)
         return FieldElement(self, PadicPayload(v=0, unit=z, prec=base.precision))
 
-    def _wrap(self, paybase):
-        return paybase
-
     def _add(self, a, b):
         if self._passthrough:
             return self.base._add(a, b)
@@ -873,28 +774,16 @@ class RootAdjunction(FieldTower):
     def _mul(self, a, b):
         if self._passthrough:
             return self.base._mul(a, b)
-        prod = [Fraction(0)] * (2 * self._deg - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
-        # reduce modulo the (monic) cyclotomic polynomial
-        for i in range(len(prod) - 1, self._deg - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = Fraction(0)
-                for j, m in enumerate(self._cyclo[:-1]):
-                    prod[i - self._deg + j] -= c * m
-        return tuple(prod[:self._deg])
+        prod = poly_mul(a, b, _Q0, not_)
+        return tuple(poly_divmod(prod, self._cyclo, _Q0, not_)[1])
 
     def _inv(self, a):
         if self._passthrough:
             return self.base._inv(a)
         if all(x == 0 for x in a):
             raise NonInvertibleElement("1/0 in cyclotomic field")
-        inv = _q_poly_inverse(list(a), self._cyclo)
-        return tuple(inv + [Fraction(0)] * (self._deg - len(inv)))
+        inv = poly_inverse_mod(a, self._cyclo, _Q0, not_, _q_inverse)
+        return tuple(inv + [_Q0] * (self._deg - len(inv)))
 
     def _eq(self, a, b):
         if self._passthrough:
@@ -939,67 +828,24 @@ def _teichmueller(r: int, p: int, prec: int) -> int:
     return x
 
 
-# --- Q[x] helpers for the cyclotomic quotient ------------------------------
+# --- Q[x] on Fraction lists, through the poly kernel -----------------------
+
+_Q0 = Fraction(0)
+
+
+def _q_inverse(c: Fraction) -> Fraction:
+    return 1 / c
+
 
 def cyclotomic_polynomial(m: int) -> list[Fraction]:
     """Coefficients of Phi_m, low degree first (monic, exact)."""
     # Phi_m = (x^m - 1) / prod_{d | m, d < m} Phi_d
-    poly = [Fraction(-1)] + [Fraction(0)] * (m - 1) + [Fraction(1)]
+    poly = [Fraction(-1)] + [_Q0] * (m - 1) + [Fraction(1)]
     for d in range(1, m):
         if m % d == 0:
-            poly = _q_poly_div_exact(poly, cyclotomic_polynomial(d))
+            poly, rem = poly_divmod(poly, cyclotomic_polynomial(d), _Q0, not_)
+            assert not any(rem), "inexact polynomial division"
     return poly
-
-
-def _q_poly_div_exact(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = a[:]
-    out = [Fraction(0)] * (len(a) - len(b) + 1)
-    inv = 1 / b[-1]
-    for shift in range(len(a) - len(b), -1, -1):
-        c = a[shift + len(b) - 1] * inv
-        out[shift] = c
-        if c:
-            for i, bi in enumerate(b):
-                a[shift + i] -= c * bi
-    assert all(x == 0 for x in a), "inexact polynomial division"
-    return out
-
-
-def _q_poly_inverse(a: list[Fraction], m: list[Fraction]) -> list[Fraction]:
-    def trim(c):
-        while c and c[-1] == 0:
-            c.pop()
-        return c
-
-    def divmod_(x, y):
-        x = x[:]
-        q = [Fraction(0)] * max(1, len(x) - len(y) + 1)
-        inv = 1 / y[-1]
-        while trim(x) and len(x) - 1 >= len(y) - 1:
-            c = x[-1] * inv
-            shift = len(x) - len(y)
-            q[shift] = c
-            for i, yi in enumerate(y):
-                x[shift + i] -= c * yi
-            trim(x)
-        return trim(q), trim(x)
-
-    r0, r1 = m[:], trim(a[:])
-    t0, t1 = [], [Fraction(1)]
-    while r1:
-        q, r = divmod_(r0, r1)
-        qt1 = [Fraction(0)] * (len(q) + len(t1) - 1) if q and t1 else []
-        for i, qi in enumerate(q):
-            for j, tj in enumerate(t1):
-                qt1[i + j] += qi * tj
-        n = max(len(t0), len(qt1))
-        tnew = trim([(t0[i] if i < len(t0) else 0) -
-                     (qt1[i] if i < len(qt1) else 0) for i in range(n)])
-        r0, r1, t0, t1 = r1, r, t1, tnew
-    if len(r0) != 1:
-        raise NonInvertibleElement("not invertible in the cyclotomic quotient")
-    c = 1 / r0[0]
-    return [c * x for x in t0]
 
 
 # ---------------------------------------------------------------------------
@@ -1050,17 +896,7 @@ class FieldElement:
         return self._coerce(other) * self.inverse()
 
     def __pow__(self, n: int):
-        if n == 0:
-            return self.tower.one()
-        base = self if n > 0 else self.inverse()
-        n = abs(n)
-        result = self.tower.one()
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self if n >= 0 else self.inverse(), abs(n), self.tower.one())
 
     def __eq__(self, other):
         try:

@@ -8,36 +8,25 @@ free and also accepts QuotElt entries from poly.QuotientRing.
 from __future__ import annotations
 
 from .fields import FieldTower
+from .poly import _is_zero, poly_mul
 
 
 def identity(tower: FieldTower, n: int):
+    """The n x n identity over a tower or a QuotientRing."""
     return [[tower.one() if i == j else tower.zero() for j in range(n)]
             for i in range(n)]
 
 
 def mat_mul(a, b, zero):
-    n, m, k = len(a), len(b[0]), len(b)
-    out = [[zero for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        for l in range(k):
-            x = ai[l]
-            if hasattr(x, "is_zero") and x.is_zero():
+    """a @ b over a tower or a QuotientRing; zero entries are skipped."""
+    b_rows = [[(j, y) for j, y in enumerate(row) if not y.is_zero()] for row in b]
+    out = [[zero] * len(b[0]) for _ in a]
+    for ai, row in zip(a, out):
+        for x, bl in zip(ai, b_rows):
+            if x.is_zero():
                 continue
-            bl = b[l]
-            row = out[i]
-            for j in range(m):
-                row[j] = row[j] + x * bl[j]
-    return out
-
-
-def mat_vec(a, v, zero):
-    out = []
-    for row in a:
-        acc = zero
-        for x, y in zip(row, v):
-            acc = acc + x * y
-        out.append(acc)
+            for j, y in bl:
+                row[j] = row[j] + x * y
     return out
 
 
@@ -63,15 +52,8 @@ def berkowitz_charpoly(mat, zero, one):
             t.append(-_dot(row, w, zero))
             w = [_dot(mat[i][:r], w, zero) for i in range(r)]
         t.append(-_dot(row, w, zero))
-        # new poly (length r+2) = convolution of t with old poly (length r+1)
-        new = [zero] * (r + 2)
-        for i, ti in enumerate(t):
-            if i > r + 1:
-                break
-            for j, pj in enumerate(poly):
-                if i + j < r + 2:
-                    new[i + j] = new[i + j] + ti * pj
-        poly = new
+        # new poly = the first r+2 coefficients of t * old poly
+        poly = poly_mul(t, poly, zero, _is_zero)[:r + 2]
     poly.reverse()
     return poly
 

@@ -1,15 +1,140 @@
-"""Univariate polynomials over a field tower, plus monic quotient rings.
+"""The polynomial kernel, polynomials over a tower, and monic quotient rings.
 
-Polynomials are coefficient lists (low degree first) of FieldElements.
-QuotientRing implements R[T]/(f) for monic f over any commutative coefficient
-domain that supports +, -, *, is_zero; nesting QuotientRings gives the etale
-subalgebras used to split symbol and p-algebras.
+The kernel at the top of this module is skone's only polynomial arithmetic.
+It works on plain coefficient lists, low degree first, over any commutative
+coefficient type; each call is given the coefficient ring's zero and zero
+test, and division is also given a coefficient inverse:
+
+  poly_mul(a, b, zero, is_zero)                         a * b
+  poly_divmod(a, b, zero, is_zero, inv=None, norm=...)  (a // b, a % b)
+  poly_inverse_mod(a, m, zero, is_zero, inv, norm=...)  a^-1 mod m, by
+                                                        extended Euclid
+  power(x, n, one, mul=operator.mul)                    x**n in any ring
+
+Modulus convention: a divisor or modulus is always the full coefficient
+list, leading coefficient included; inv=None says that it is monic.  Results
+are not trimmed: a product has len(a) + len(b) - 1 entries and a remainder
+len(b) - 1 (or len(a) if a is shorter).  ``norm`` maps a coefficient to its
+normal form.  It is the identity except over F_p, where integer coefficients
+are reduced mod p so that Euclid's coefficients do not grow.
+
+The kernel's users:
+
+  fields.FiniteField     F_p[x]/(f) on integer lists reduced mod p
+  fields.RootAdjunction  Q[x]/(Phi_m) on Fraction lists; cyclotomic_polynomial
+  Poly                   dense polynomials over a tower (FieldElements)
+  QuotientRing           R[T]/(f) for monic f over a tower or another
+                         QuotientRing; nesting gives the etale subalgebras
+                         used to split symbol and p-algebras
+
+Nothing here needs fields.py at import time, so fields.py imports the kernel.
 """
 
 from __future__ import annotations
 
-from .errors import UnsupportedTower
-from .fields import FieldElement, FieldTower, FiniteField
+import operator
+from fractions import Fraction
+from itertools import zip_longest
+from typing import TYPE_CHECKING
+
+from .errors import NonInvertibleElement, UnsupportedTower
+
+if TYPE_CHECKING:
+    from .fields import FieldElement, FieldTower
+
+
+# ---------------------------------------------------------------------------
+# the kernel: dense coefficient lists, low degree first
+# ---------------------------------------------------------------------------
+
+def _same(x):
+    return x
+
+
+def _trim(c: list, is_zero) -> list:
+    while c and is_zero(c[-1]):
+        c.pop()
+    return c
+
+
+def power(x, n: int, one, mul=operator.mul):
+    """x**n for n >= 0 by square-and-multiply, in any ring with unit one."""
+    result = one
+    while n:
+        if n & 1:
+            result = mul(result, x)
+        n >>= 1
+        if n:
+            x = mul(x, x)
+    return result
+
+
+def poly_mul(a: list, b: list, zero, is_zero) -> list:
+    """The product a * b (len(a) + len(b) - 1 entries, or [] if one is empty)."""
+    if not a or not b:
+        return []
+    b_terms = [(j, y) for j, y in enumerate(b) if not is_zero(y)]
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if is_zero(x):
+            continue
+        for j, y in b_terms:
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def poly_divmod(a: list, b: list, zero, is_zero, inv=None, norm=_same):
+    """(quotient, remainder) of a by b, whose last coefficient is nonzero.
+
+    inv=None means b is monic; otherwise inv inverts b's leading coefficient.
+    """
+    db = len(b) - 1
+    if len(a) <= db:
+        return [], [norm(x) for x in a]
+    lead_inv = None if inv is None else inv(b[-1])
+    low = [(i, y) for i, y in enumerate(b[:db]) if not is_zero(y)]
+    rem = list(a)
+    quo = [zero] * (len(a) - db)
+    for shift in range(len(a) - db - 1, -1, -1):
+        c = rem[shift + db]
+        c = norm(c if lead_inv is None else c * lead_inv)
+        quo[shift] = c
+        if is_zero(c):
+            continue
+        for i, y in low:
+            rem[shift + i] = rem[shift + i] - c * y
+    return quo, [norm(x) for x in rem[:db]]
+
+
+def poly_inverse_mod(a: list, m: list, zero, is_zero, inv, norm=_same) -> list:
+    """a^-1 modulo m by extended Euclid; m's last coefficient is nonzero.
+
+    Raises NonInvertibleElement unless gcd(a, m) is a nonzero constant.
+    """
+    r1 = _trim([norm(x) for x in a], is_zero)
+    if not r1:
+        raise NonInvertibleElement("zero has no inverse")
+    u = inv(r1[-1])
+    # invariant: t_i * a = r_i (mod m)
+    r0, r1 = list(m), [norm(x * u) for x in r1]
+    t0, t1 = [], [u]
+    while r1:
+        q, r = poly_divmod(r0, r1, zero, is_zero, inv, norm)
+        t = [norm(x - y) for x, y in
+             zip_longest(t0, poly_mul(t1, q, zero, is_zero), fillvalue=zero)]
+        r0, r1, t0, t1 = r1, _trim(r, is_zero), t1, _trim(t, is_zero)
+    if len(r0) != 1:
+        raise NonInvertibleElement("element not invertible modulo the modulus")
+    c = inv(r0[0])
+    return [norm(x * c) for x in t0]
+
+
+# ---------------------------------------------------------------------------
+# polynomials over a tower
+# ---------------------------------------------------------------------------
+
+_is_zero = operator.methodcaller("is_zero")
+_inverse = operator.methodcaller("inverse")
 
 
 class Poly:
@@ -18,11 +143,9 @@ class Poly:
     __slots__ = ("tower", "coeffs")
 
     def __init__(self, tower: FieldTower, coeffs):
-        cs = [tower.elem(c) if not isinstance(c, FieldElement) else c for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
+        cs = [tower.elem(c) if isinstance(c, (int, Fraction)) else c for c in coeffs]
         self.tower = tower
-        self.coeffs = cs
+        self.coeffs = _trim(cs, _is_zero)
 
     @property
     def degree(self) -> int:
@@ -57,43 +180,19 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, FieldElement):
+        if not isinstance(other, Poly):
             return Poly(self.tower, [c * other for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return Poly(self.tower, [])
-        out = [self.tower.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.tower, out)
+        return Poly(self.tower, poly_mul(self.coeffs, other.coeffs,
+                                         self.tower.zero(), _is_zero))
 
     def __pow__(self, n: int):
-        result = Poly(self.tower, [self.tower.one()])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, Poly(self.tower, [self.tower.one()]))
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        inv_lead = other.coeffs[-1].inverse()
-        rem = self.coeffs[:]
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Poly(self.tower, []), self
-        quo = [self.tower.zero()] * (dq + 1)
-        for shift in range(dq, -1, -1):
-            c = rem[shift + other.degree] * inv_lead
-            quo[shift] = c
-            if not c.is_zero():
-                for i, oc in enumerate(other.coeffs):
-                    rem[shift + i] = rem[shift + i] - c * oc
+        quo, rem = poly_divmod(self.coeffs, other.coeffs, self.tower.zero(),
+                               _is_zero, _inverse)
         return Poly(self.tower, quo), Poly(self.tower, rem)
 
     def __mod__(self, other):
@@ -120,17 +219,6 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def eval_in(self, x, one):
-        """Horner evaluation at an element of any ring containing the tower."""
-        acc = one * self.tower.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + one * c
-        return acc
-
-    def derivative(self) -> "Poly":
-        return Poly(self.tower,
-                    [self.coeffs[i] * i for i in range(1, len(self.coeffs))])
-
     def __repr__(self):
         if self.is_zero():
             return "0"
@@ -148,10 +236,6 @@ class Poly:
                 mono = "X" if i == 1 else f"X^{i}"
                 bits.append(mono if cs == "1" else f"{cs}*{mono}")
         return " + ".join(bits)
-
-    @staticmethod
-    def x(tower: FieldTower) -> "Poly":
-        return Poly(tower, [tower.zero(), tower.one()])
 
 
 def monic_nth_root(p: Poly, n: int) -> Poly:
@@ -200,6 +284,7 @@ def monic_sqrt_char2(p: Poly) -> Poly:
 
 
 def _sqrt_perfect(x: FieldElement) -> FieldElement:
+    from .fields import FiniteField
     tower = x.tower
     if isinstance(tower, FiniteField) and tower.p == 2:
         return x ** (tower.q // 2)
@@ -237,25 +322,18 @@ class QuotElt:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, self.ring.one())
 
     def __eq__(self, other):
         o = self.ring.coerce(other)
-        return all(self.ring._base_eq(a, b) for a, b in zip(self.vec, o.vec))
+        return all(a == b for a, b in zip(self.vec, o.vec))
 
     def is_zero(self):
-        return all(self.ring._base_is_zero(a) for a in self.vec)
+        return all(a.is_zero() for a in self.vec)
 
     def scalar_part(self):
         """The constant coefficient if all higher ones vanish, else None."""
-        if all(self.ring._base_is_zero(a) for a in self.vec[1:]):
+        if all(a.is_zero() for a in self.vec[1:]):
             return self.vec[0]
         return None
 
@@ -271,33 +349,22 @@ class QuotientRing:
         self.base = base
         self.modulus = list(modulus_coeffs)
         self.deg = len(self.modulus)
-
-    # --- base-domain helpers -------------------------------------------
-    def base_zero(self):
-        return self.base.zero()
-
-    def base_one(self):
-        return self.base.one()
-
-    def _base_eq(self, a, b):
-        return a == b
-
-    def _base_is_zero(self, a):
-        return a.is_zero()
+        self.coeff_zero = base.zero()
+        self.coeff_one = base.one()
+        self._f = self.modulus + [self.coeff_one]  # f in full, for the kernel
 
     def zero(self):
-        return QuotElt(self, [self.base_zero()] * self.deg)
+        return QuotElt(self, [self.coeff_zero] * self.deg)
 
     def one(self):
-        return QuotElt(self, [self.base_one()] + [self.base_zero()] * (self.deg - 1))
+        return QuotElt(self, [self.coeff_one] + [self.coeff_zero] * (self.deg - 1))
 
     def gen(self):
-        vec = [self.base_zero()] * self.deg
         if self.deg == 1:
             # T = -modulus[0]
             return QuotElt(self, [-self.modulus[0]])
-        vec[1] = self.base_one()
-        return QuotElt(self, vec)
+        return QuotElt(self, [self.coeff_zero, self.coeff_one]
+                       + [self.coeff_zero] * (self.deg - 2))
 
     def coerce(self, x):
         if isinstance(x, QuotElt) and x.ring is self:
@@ -308,24 +375,11 @@ class QuotientRing:
             val = self.base.elem(x)
         else:
             val = x
-        return QuotElt(self, [val] + [self.base_zero()] * (self.deg - 1))
+        return QuotElt(self, [val] + [self.coeff_zero] * (self.deg - 1))
 
     def _mul(self, a: QuotElt, b: QuotElt) -> QuotElt:
-        d = self.deg
-        prod = [self.base_zero() for _ in range(2 * d - 1)]
-        for i, x in enumerate(a.vec):
-            if self._base_is_zero(x):
-                continue
-            for j, y in enumerate(b.vec):
-                prod[i + j] = prod[i + j] + x * y
-        for k in range(2 * d - 2, d - 1, -1):
-            c = prod[k]
-            if self._base_is_zero(c):
-                continue
-            prod[k] = self.base_zero()
-            for i, mi in enumerate(self.modulus):
-                prod[k - d + i] = prod[k - d + i] - c * mi
-        return QuotElt(self, prod[:d])
+        prod = poly_mul(a.vec, b.vec, self.coeff_zero, _is_zero)
+        return QuotElt(self, poly_divmod(prod, self._f, self.coeff_zero, _is_zero)[1])
 
 
 def scalar_of(x):

@@ -21,6 +21,7 @@ from .errors import InconsistentConstruction, UnsupportedTower
 from .fields import FieldElement, FieldTower, FiniteField
 from .forms import effective_tower
 from .ktheory import CohClass, KClass, symbol
+from .poly import Poly
 
 MAX_LENGTH = 3
 
@@ -439,18 +440,11 @@ def _embed_ff(c: FieldElement, Fe: FiniteField) -> FieldElement:
     if F.e == 1:
         return Fe.elem(c.payload[0])
     # embed F_q into F_(q^e): map the generator to a root of its minimal polynomial
+    modulus = Poly(Fe, F.modulus)
     for cand in Fe.elements():
-        ok = True
-        # evaluate the modulus of F at cand
-        acc = Fe.zero()
-        for i, coef in enumerate(F.modulus):
-            acc = acc + Fe.elem(coef) * cand ** i
-        if acc.is_zero():
-            # represent c = sum c_i g^i
-            img = Fe.zero()
-            for i, ci in enumerate(c.payload):
-                img = img + Fe.elem(ci) * cand ** i
-            return img
+        if modulus.eval(cand).is_zero():
+            # c = sum c_i g^i maps to sum c_i cand^i
+            return Poly(Fe, c.payload).eval(cand)
     raise InconsistentConstruction("no embedding found")
 
 

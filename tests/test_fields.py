@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skone.errors import FieldSyntaxError, PrecisionExhausted
 from skone.fields import (
+    FieldElement,
     FiniteField,
     LaurentExt,
     PAdicDescriptor,
@@ -17,6 +19,7 @@ from skone.fields import (
     parse_field,
     primitive_root_of_unity,
 )
+from skone.poly import Poly
 
 TOWERS = ["Q", "F(7)", "F(49)", "F(121)", "Qp(5)", "Qp(2)",
           "Q((t))", "F(7)((t))", "Qp(5)((t1))((t2))",
@@ -187,3 +190,83 @@ def test_root_adjunction_zeta_arithmetic():
     assert (T.elem(1) + z) * (T.elem(1) - z) == T.elem(2)
     inv = z.inverse()
     assert (z * inv).is_one()
+
+
+# --- the poly kernel's users against sympy ---------------------------------
+
+X = sympy.Symbol("x")
+
+
+def _to_sympy(coeffs, **domain):
+    """sympy Poly of a low-degree-first coefficient list."""
+    return sympy.Poly(list(reversed(coeffs)), X, **domain)
+
+
+def _low_first(poly, n):
+    cs = list(reversed(poly.all_coeffs()))
+    return cs + [0] * (n - len(cs))
+
+
+@st.composite
+def _fq_pair(draw):
+    q = draw(st.sampled_from([4, 8, 9, 27, 49, 243, 256]))
+    F = FiniteField(q)
+    digits = st.lists(st.integers(0, F.p - 1), min_size=F.e, max_size=F.e)
+    return F, draw(digits), draw(digits)
+
+
+@given(_fq_pair())
+def test_fq_mul_and_inverse_match_sympy(case):
+    F, a, b = case
+    p = F.p
+    f = _to_sympy(F.modulus, modulus=p)
+    A, B = _to_sympy(a, modulus=p), _to_sympy(b, modulus=p)
+    prod = (FieldElement(F, tuple(a)) * FieldElement(F, tuple(b))).payload
+    # sympy prints symmetric residues, so compare mod p
+    assert list(prod) == [int(c) % p for c in _low_first(sympy.rem(A * B, f), F.e)]
+    if any(a):
+        inv = FieldElement(F, tuple(a)).inverse().payload
+        assert list(inv) == [int(c) % p for c in _low_first(sympy.invert(A, f), F.e)]
+
+
+@st.composite
+def _zeta_pair(draw):
+    T = RootAdjunction(Rationals(), draw(st.sampled_from([3, 5, 7, 8, 12])))
+    rationals = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+    coeffs = st.lists(rationals, min_size=T._deg, max_size=T._deg)
+    return T, draw(coeffs), draw(coeffs)
+
+
+@given(_zeta_pair())
+def test_cyclotomic_mul_and_inverse_match_sympy(case):
+    T, a, b = case
+    phi = sympy.cyclotomic_poly(T.m, X, polys=True).set_domain(sympy.QQ)
+    A, B = (_to_sympy(v, domain=sympy.QQ) for v in (a, b))
+
+    def as_fractions(poly):
+        return [Fraction(str(c)) for c in _low_first(poly, T._deg)]
+
+    prod = (FieldElement(T, tuple(a)) * FieldElement(T, tuple(b))).payload
+    assert list(prod) == as_fractions(sympy.rem(A * B, phi))
+    if any(a):
+        inv = FieldElement(T, tuple(a)).inverse().payload
+        assert list(inv) == as_fractions(sympy.invert(A, phi))
+
+
+@given(st.lists(st.integers(0, 6), max_size=8),
+       st.lists(st.integers(0, 6), max_size=5),
+       st.integers(2, 6))
+def test_poly_divmod_non_monic_over_f7(num, den, lead):
+    F7 = FiniteField(7)
+    p, q = Poly(F7, num), Poly(F7, den + [lead])
+    quo, rem = p.divmod(q)
+    assert quo * q + rem == p
+    assert rem.degree < q.degree
+
+
+@pytest.mark.parametrize("q, modulus", [
+    (4, [1, 1, 1]), (8, [1, 1, 0, 1]), (9, [1, 0, 1]), (27, [1, 2, 0, 1]),
+    (81, [2, 1, 0, 0, 1]), (256, [1, 1, 0, 1, 1, 0, 0, 0, 1]), (343, [2, 0, 0, 1]),
+])
+def test_finite_field_moduli_are_pinned(q, modulus):
+    assert FiniteField(q).modulus == modulus
