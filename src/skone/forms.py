@@ -9,6 +9,10 @@ Isotropy dispatch:
   Q_p        unit/valuation analysis through exact Hilbert symbols
   k((t))...  Springer residue decomposition (residue characteristic != 2)
 
+Witt classes over Q: an indefinite form in I^3 is Witt-equivalent to
+sig*<1> (Hasse principle, I^3(Q_p) = 0); other forms split off hyperbolic
+planes along isotropic witnesses.
+
 I^n certificates are only claimed over towers where the claimed criteria are
 complete: Q (torsion-free I^3), p-adic (I^3 = 0), finite fields (I^2 = 0) and
 Laurent towers over these via the residue rule.
@@ -240,13 +244,13 @@ class IsotropyResult:
         return self.isotropic
 
 
-def isotropy(q: QuadraticForm, witness_box: int = 64) -> IsotropyResult:
+def isotropy(q: QuadraticForm) -> IsotropyResult:
     """Decide isotropy with a witness (where the tower permits) or a certificate."""
     if q.dim == 0:
         return IsotropyResult(False, None, "empty form")
     tower = effective_tower(q.tower)
     if isinstance(tower, Rationals):
-        return _isotropy_rational(q, witness_box)
+        return _isotropy_rational(q)
     if isinstance(tower, FiniteField):
         return _isotropy_finite(q)
     if isinstance(tower, PAdicDescriptor):
@@ -258,10 +262,10 @@ def isotropy(q: QuadraticForm, witness_box: int = 64) -> IsotropyResult:
 
 # --- Q ----------------------------------------------------------------------
 
-def _int_diag(q: QuadraticForm) -> list[int]:
+def _int_diag(entries) -> list[int]:
     """Scale each diagonal entry into an integer of the same square class."""
     out = []
-    for d in q.diag:
+    for d in entries:
         r = rational_of(d)
         out.append(r.numerator * r.denominator)
     return out
@@ -312,20 +316,20 @@ def _bad_primes(ints: list[int]) -> list[int]:
     return sorted(primes)
 
 
-def _isotropy_rational(q: QuadraticForm, box: int) -> IsotropyResult:
-    diag = _int_diag(q)
+def _isotropy_rational(q: QuadraticForm) -> IsotropyResult:
+    diag = _int_diag(q.diag)
     if len(diag) == 1:
         return IsotropyResult(False, None, "one-dimensional form")
     sqfree = [squarefree_part(Fraction(d)) for d in diag]
     if len(diag) == 2:
         if _rational_is_square(Fraction(-sqfree[0] * sqfree[1])):
-            w = _witness_search(diag, box)
+            w = _witness_search(diag)
             return IsotropyResult(True, w, "binary: -a1 a2 is a square")
         return IsotropyResult(False, None, "binary: -a1 a2 is not a square")
     if not rational_local_isotropy(sqfree, "inf"):
         return IsotropyResult(False, None, "definite at the real place")
     if len(diag) >= 5:
-        w = _witness_search(diag, box)
+        w = _witness_search(diag)
         return IsotropyResult(True, w,
                               "dim >= 5 and indefinite at the real place (Hasse-Minkowski)")
     failures = []
@@ -335,7 +339,7 @@ def _isotropy_rational(q: QuadraticForm, box: int) -> IsotropyResult:
     if failures:
         return IsotropyResult(False, None,
                               f"anisotropic over Q_p for p in {failures}")
-    w = _witness_search(diag, box)
+    w = _witness_search(diag)
     return IsotropyResult(True, w, "isotropic at every place (Hasse-Minkowski)")
 
 
@@ -347,12 +351,12 @@ def _rational_is_square(x: Fraction) -> bool:
             and integer_nth_root(x.denominator, 2) is not None)
 
 
-def _witness_search(diag: list[int], box: int):
+def _witness_search(diag: list[int]):
     """Small-support-first integer witness search, exact verification.
 
     Pairs are checked by exact square tests; larger supports use a
-    meet-in-the-middle enumeration with an expanding box.  Returns a tuple
-    witness over the full index set, or None within the budget.
+    meet-in-the-middle enumeration with a box expanding up to 64.  Returns a
+    tuple witness over the full index set, or None within the budget.
     """
     n = len(diag)
     from .fields import integer_nth_root
@@ -376,9 +380,7 @@ def _witness_search(diag: list[int], box: int):
     # larger supports: meet-in-the-middle over an expanding box ladder,
     # skipping combinations whose enumeration cost would dominate
     from math import comb
-    for b in (4, 8, 16, 32, 64, 128):
-        if b > max(box, 4):
-            break
+    for b in (4, 8, 16, 32, 64):
         for size in range(3, min(n, 6) + 1):
             half = size // 2
             cost = comb(n, size) * ((b + 1) ** half + (2 * b + 1) ** (size - half))
@@ -600,14 +602,15 @@ class WittClass:
                 f"{self.hyperbolic_rank})")
 
 
-def witt_class(q: QuadraticForm, witness_box: int = 64) -> WittClass:
+def witt_class(q: QuadraticForm) -> WittClass:
     """Witt decomposition: strip hyperbolic planes, keep the anisotropic kernel.
 
-    witness_box bounds the splitting search over Q; a small box fails fast so
-    callers can fall back to invariant-only certificates."""
+    Over Q an indefinite form in I^3 is decided from its signature (see
+    _witt_by_splitting); every other form splits off hyperbolic planes along
+    isotropic witnesses until the rest is anisotropic."""
     tower = effective_tower(q.tower)
     if isinstance(tower, (Rationals, FiniteField)) and not q.char2:
-        return _witt_by_splitting(q, box=witness_box)
+        return _witt_by_splitting(q)
     if isinstance(tower, PAdicDescriptor):
         return _witt_padic(q)
     if isinstance(tower, LaurentExt):
@@ -617,27 +620,45 @@ def witt_class(q: QuadraticForm, witness_box: int = 64) -> WittClass:
     raise UnsupportedTower(f"witt_class not supported over {q.tower}")
 
 
-def _witt_by_splitting(q: QuadraticForm, box: int = 64) -> WittClass:
-    diag = list(q.diag)
+SIGNATURE_CLASS = ("I^3 over Q: Witt class sig*<1> (Hasse principle for Witt "
+                   "classes; I^3(Q_p) = 0)")
+
+
+def _witt_by_splitting(q: QuadraticForm) -> WittClass:
+    """Free hyperbolic pairs go first.  Over Q, what remains is then decided
+    when it lies in I^3 and is indefinite: W(Q) embeds in the product of the
+    W(Q_v), I^3(Q_p) = 0 for every prime p and I^3(R) is generated by 8<1>,
+    so the form is Witt-equivalent to sig*<1>, whose kernel is |sig| copies
+    of <+-1>.  Otherwise hyperbolic planes are split off along witnesses."""
     tower = q.tower
-    rank = 0
+    diag, rank = _strip_hyperbolic_pairs(list(q.diag), tower)
+    if isinstance(effective_tower(tower), Rationals):
+        ints = _int_diag(diag)
+        if (any(d > 0 for d in ints) and any(d < 0 for d in ints)
+                and _rational_below_i3(ints) is None):
+            sig = sum(1 if d > 0 else -1 for d in ints)
+            kernel = QuadraticForm(tower, [1 if sig > 0 else -1] * abs(sig))
+            return WittClass(q.tower, kernel, rank + (len(diag) - abs(sig)) // 2,
+                             SIGNATURE_CLASS)
     while len(diag) >= 2:
-        # hyperbolic pairs <d_i, d_j> with -d_i d_j a square split for free
-        pair = _find_hyperbolic_pair(diag, tower)
-        if pair is not None:
-            i, j = pair
-            diag = [d for k, d in enumerate(diag) if k not in (i, j)]
-            rank += 1
-            continue
-        form = QuadraticForm(tower, diag)
-        res = isotropy(form, witness_box=box)
+        res = isotropy(QuadraticForm(tower, diag))
         if not res.isotropic:
             break
         if res.witness is None:
             raise Undecided("isotropic but no explicit witness found in the box")
-        diag = _split_hyperbolic(tower, diag, res.witness)
-        rank += 1
+        diag, split = _strip_hyperbolic_pairs(
+            _split_hyperbolic(tower, diag, res.witness), tower)
+        rank += 1 + split
     return WittClass(q.tower, QuadraticForm(tower, diag), rank, "witness splitting")
+
+
+def _strip_hyperbolic_pairs(diag, tower) -> tuple[list, int]:
+    """Remove pairs <d_i, d_j> with -d_i d_j a square; returns (rest, pairs)."""
+    pairs = 0
+    while (pair := _find_hyperbolic_pair(diag, tower)) is not None:
+        diag = [d for k, d in enumerate(diag) if k not in pair]
+        pairs += 1
+    return diag, pairs
 
 
 def _find_hyperbolic_pair(diag, tower):
@@ -1072,23 +1093,11 @@ def i_level(c: WittClass) -> LevelCertificate:
 
 
 def _i_level_rational(c: WittClass) -> LevelCertificate:
-    q = c.kernel
-    if q.dim % 2:
-        return LevelCertificate(0, True, "odd dimension")
-    disc = rational_of(_signed_disc(q))
-    if not _rational_is_square(disc) :
-        return LevelCertificate(1, True, "nontrivial signed discriminant")
-    ints = [squarefree_part(rational_of(d)) for d in q.diag]
+    ints = _int_diag(c.kernel.diag)
+    below = _rational_below_i3(ints)
+    if below is not None:
+        return below
     sig = sum(1 if d > 0 else -1 for d in ints)
-    places = ["inf"] + _bad_primes(ints)
-    m = q.dim // 2
-    hyp = [1, -1] * m
-    for v in places:
-        eq = _hasse_product(ints, v)
-        eh = _hasse_product(hyp, v)
-        if eq != eh:
-            return LevelCertificate(2, True,
-                                    f"Clifford/Hasse data nontrivial at place {v}")
     if sig % 16 == 0:
         return LevelCertificate(4, True,
                                 "level 3 criteria and all real signatures = 0 mod 16")
@@ -1096,11 +1105,35 @@ def _i_level_rational(c: WittClass) -> LevelCertificate:
                             f"Clifford trivial everywhere; signature {sig} != 0 mod 16")
 
 
+def _rational_below_i3(ints: list[int]) -> LevelCertificate | None:
+    """The level-0, 1 or 2 certificate of <ints> over Q, or None in I^3.
+
+    ints are integers in the square classes of the entries.  The form is in
+    I^3 iff its dimension is even, its signed discriminant is a square and
+    its Hasse invariants equal the hyperbolic form's at every place; only
+    infinity, 2 and the primes dividing an entry can differ."""
+    n = len(ints)
+    if n % 2:
+        return LevelCertificate(0, True, "odd dimension")
+    disc = -1 if (n * (n - 1) // 2) % 2 else 1
+    for d in ints:
+        disc *= d
+    if not _rational_is_square(Fraction(disc)):
+        return LevelCertificate(1, True, "nontrivial signed discriminant")
+    hyp = [1, -1] * (n // 2)
+    for v in ["inf"] + _bad_primes(ints):
+        if _hasse_product(ints, v) != _hasse_product(hyp, v):
+            return LevelCertificate(2, True,
+                                    f"Clifford/Hasse data nontrivial at place {v}")
+    return None
+
+
 def _hasse_product(ints: list[int], place) -> int:
-    eps = 1
-    for i in range(len(ints)):
-        for j in range(i + 1, len(ints)):
-            eps *= hilbert_symbol_rational(Fraction(ints[i]), Fraction(ints[j]), place)
+    """prod_{i<j} (a_i, a_j)_v, as prod_j (a_1 ... a_{j-1}, a_j)_v."""
+    eps, prefix = 1, 1
+    for d in ints:
+        eps *= hilbert_symbol_rational(Fraction(prefix), Fraction(d), place)
+        prefix *= d
     return eps
 
 

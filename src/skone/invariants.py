@@ -42,6 +42,7 @@ from .forms import (
     diagonalize_gram,
     effective_tower,
     i_level,
+    isotropy,
     pfister,
     witt_class,
 )
@@ -257,25 +258,79 @@ def _division_certificate_n2(cfg: PlatonovConfig):
 
 @dataclass
 class HyperbolicityReport:
-    hyperbolic: bool | None       # None = no witness found (treated non-hyperbolic)
+    hyperbolic: bool | None       # None = the idempotent search found no witness
     provenance: str
     witness: AlgElement | None = None
 
 
 def hyperbolicity_check(sigma: Involution,
                         division: bool | None = None) -> HyperbolicityReport:
-    """Search for an idempotent e with sigma(e) = 1 - e.
+    """Decide whether sigma is hyperbolic.
 
-    Division algebras are certified non-hyperbolic (no nontrivial idempotents).
-    Otherwise a bounded search over sigma-skew elements z with z^2 = 1 runs
-    (e = (1+z)/2); a found witness certifies hyperbolicity, absence is reported
-    as a search outcome, not a proof.
+    Division algebras are certified non-hyperbolic (no nontrivial
+    idempotents).  For a symplectic involution on a central simple algebra
+    of degree 4 the decision is the criterion of Knus-Merkurjev-Rost-Tignol,
+    The Book of Involutions, section 16: sigma is hyperbolic if and only if
+    the 5-dimensional quadratic form q_sigma(x) = x^2 on
+    Symd(A, sigma)^0 = {x in Symd(A, sigma) : Trp(x) = 0} is isotropic.
+    (Every x in Symd^0 satisfies x^2 = -Nrp(x) in F.  If x != 0 and x^2 = 0,
+    then x has reduced rank 2, since x^2 = 0 caps it at 2 and a symmetric
+    element of a symplectic involution has even rank; so I = xA is a right
+    ideal of reduced dimension 2 with sigma(I) I = A x x A = 0, and sigma
+    is hyperbolic.
+    Conversely an idempotent e with sigma(e) = 1 - e gives the nonzero
+    x = e s sigma(e), s symmetric, with x^2 = e s (1 - e) e s sigma(e) = 0.)
+    The witness is None on this path.
+
+    Where isotropy is not supported over the tower, or sigma is not a
+    symplectic involution of degree 4, a bounded search for such an
+    idempotent runs instead; its failure is a search outcome (None), not a
+    proof.
     """
     A = sigma.algebra
     if division:
         return HyperbolicityReport(False, "division algebra has no nontrivial idempotents")
     if A.base.characteristic == 2:
         raise UnsupportedTower("hyperbolicity search implemented away from char 2")
+    if A.degree == 4 and sigma.kind() == "symplectic":
+        try:
+            res = isotropy(_q_sigma(sigma))
+        except UnsupportedTower:
+            pass
+        else:
+            state = "isotropic" if res.isotropic else "anisotropic"
+            return HyperbolicityReport(
+                res.isotropic, f"q_sigma on Symd(A, sigma)^0 is {state} "
+                f"({res.certificate}); KMRT section 16 criterion")
+    return _idempotent_search(sigma)
+
+
+def _q_sigma(sigma: Involution) -> QuadraticForm:
+    """q_sigma(x) = x^2 on Symd(A, sigma)^0, diagonalised; degree 4 symplectic.
+
+    The polar form is b(x, y) = (xy + yx)/2, a scalar on Symd^0."""
+    A = sigma.algebra
+    half = Fraction(1, 2)
+    basis = []
+    for coords in sigma.symd_basis():
+        x = A.element(coords)
+        basis.append(x - A.one().scale(trp(sigma, x) * half))
+    gram = [[None] * len(basis) for _ in basis]
+    for i, x in enumerate(basis):
+        for j in range(i, len(basis)):
+            y = basis[j]
+            gram[i][j] = gram[j][i] = (x * y + y * x).coords[0] * half
+    entries = diagonalize_gram(gram, A.base)
+    if len(entries) != 5:
+        raise InconsistentConstruction(
+            f"q_sigma has rank {len(entries)}, not 5; sigma is not symplectic")
+    return QuadraticForm(A.base, entries)
+
+
+def _idempotent_search(sigma: Involution) -> HyperbolicityReport:
+    """Bounded search over sigma-skew z with z^2 a nonzero square lambda:
+    e = (1 + z/sqrt(lambda))/2 is then an idempotent with sigma(e) = 1 - e."""
+    A = sigma.algebra
     # skew space: sigma(z) = -z
     rows = []
     for j in range(A.dim):
@@ -381,17 +436,13 @@ def kmrt_eval(A: AlgebraPresentation, sigma: Involution, a: AlgElement,
         certs.append(("normalisation", "computed",
                       f"class evaluated on {scale} * Phi_v; I-level decisions "
                       "are invariant under global scaling"))
-    try:
-        wc = witt_class(normalized, witness_box=4)
-    except Undecided:
-        wc = WittClass(normalized.tower, normalized, 0,
-                       "unreduced (level certified from invariants)")
-        certs.append(("kernel", "computed",
-                      "witness splitting stalled; invariants-only certificate"))
-    lvl = i_level(wc)
+    # certified before any splitting: a class in I^3 is never left undecided
+    lvl = i_level(WittClass(normalized.tower, normalized))
     if lvl.level < 3:
         raise InconsistentConstruction(
             f"Phi_v landed at level {lvl.level} < 3; inconsistent with the value group")
+    wc = witt_class(normalized)
+    lvl = i_level(wc)
     certs.append(("I-level", "computed", lvl.detail))
     return KmrtResult(wc, lvl, form, v, hyp, certs)
 

@@ -148,6 +148,36 @@ def tame_norm_oracle(a_val: int, a_unit_dlog: int, b_val: int, b_unit_dlog: int,
     return False
 
 
+def hilbert_oracle(a: int, b: int, place) -> int:
+    """(a, b)_v over Q from the solvability of z^2 = a x^2 + b y^2 over Q_v."""
+    if place == "inf":
+        return -1 if a < 0 and b < 0 else 1
+    return 1 if qp_ternary_solvable(a, b, place) else -1
+
+
+def local_invariants(diag: list[int], places=()) -> dict:
+    """Dimension, signature, squarefree signed discriminant and the Hasse
+    invariants prod_{i<j} (a_i, a_j)_v of <diag> over Q, at infinity, at
+    every prime dividing 2 * prod(diag) and at the given extra places."""
+    n = len(diag)
+    disc = (-1) ** (n * (n - 1) // 2)
+    for d in diag:
+        disc *= d
+    sqfree = -1 if disc < 0 else 1
+    for p, e in sympy.factorint(abs(disc)).items():
+        if e % 2:
+            sqfree *= int(p)
+    primes = {2}.union(*(map(int, sympy.factorint(abs(d))) for d in diag))
+    hasse = {}
+    for v in {"inf", *primes, *places}:
+        eps = 1
+        for a, b in itertools.combinations(diag, 2):
+            eps *= hilbert_oracle(a, b, v)
+        hasse[v] = eps
+    return {"dim": n, "signature": sum(1 if d > 0 else -1 for d in diag),
+            "disc": sqfree, "hasse": hasse}
+
+
 # --- Laurent / Springer ------------------------------------------------------
 
 def springer_brute_isotropy(diag_monomials, p: int) -> bool:

@@ -79,6 +79,12 @@ def test_form_command(capsys):
                                   "pfister(-1; -1; -1)", "--op", "level"])
     assert code == EXIT_OK
     assert doc["payload"]["i_level"]["level"] == 3
+    # a definite form is not decided from its signature: its kernel is itself
+    assert doc["payload"]["witt"] == {"anisotropic_kernel": "<1,1,1,1,1,1,1,1>",
+                                      "hyperbolic_rank": 0,
+                                      "provenance": "witness splitting"}
+    assert doc["payload"]["i_level"]["detail"] == \
+        "Clifford trivial everywhere; signature 8 != 0 mod 16"
     code, doc = run_json(capsys, ["form", "--field", "F(7)", "diag(1,1,1)"])
     assert doc["payload"]["isotropy"]["witness"] == ["1", "2", "3"]
 
@@ -129,6 +135,13 @@ def test_invariant_kmrt(capsys):
         "--element", "1"])
     assert code == EXIT_OK
     assert doc["payload"]["level"] >= 4
+    # the README line: q_sigma is definite, so sigma is not hyperbolic
+    code, doc = run_json(capsys, [
+        "invariant", "kmrt", "--field", "Q",
+        "--algebra", "symbol(-1;-1;2) (*) symbol(-1;3;2)", "--element", "x1"])
+    assert code == EXIT_OK
+    assert doc["payload"]["hyperbolic_sigma"] is False
+    assert doc["payload"]["kernel"] == "<>" and doc["payload"]["zero_mod_I4"] is True
     code, doc = run_json(capsys, ["invariant", "list"])
     assert "KMRT" in doc["payload"]["invariants"]
 

@@ -3,12 +3,18 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import qp_ternary_solvable, springer_brute_isotropy, witness_box_search
+from oracles import (
+    local_invariants,
+    qp_ternary_solvable,
+    springer_brute_isotropy,
+    witness_box_search,
+)
 from skone.fields import FiniteField, PAdicDescriptor, Rationals, parse_field
 from skone.forms import (
+    SIGNATURE_CLASS,
     QuadraticForm,
     arf_invariant,
     bilinear_mult,
@@ -232,3 +238,51 @@ def test_witt_group_axioms_hypothesis(a, b, c):
     y = witt_class(QuadraticForm(Q, [c]))
     lhs = witt_add(witt_add(x, y), witt_neg(x))
     assert witt_add(lhs, witt_neg(y)).is_zero()
+
+
+SLOTS = st.sampled_from([-1, -1, -1, 2, 3, -3, 5, -5, 6, 7, -7])
+SMALL = st.integers(min_value=-7, max_value=7).filter(bool)
+
+
+@st.composite
+def i3_plus_small_forms(draw):
+    """Scaled n-fold Pfister forms (n >= 3), hyperbolic planes and a small
+    form (a random diagonal or a scaled 2-fold Pfister form), shuffled."""
+    diag = []
+    for _ in range(draw(st.integers(1, 2))):
+        slots = draw(st.lists(SLOTS, min_size=3, max_size=4))
+        c = draw(SMALL)
+        diag += [c * int(str(d)) for d in pfister(Q, slots).diag]
+    for a in draw(st.lists(SMALL, max_size=2)):
+        diag += [a, -a]
+    small = draw(st.sampled_from(["none", "diag", "pfister2"]))
+    if small == "diag":
+        diag += draw(st.lists(SMALL, min_size=1, max_size=3))
+    elif small == "pfister2":
+        c = draw(SMALL)
+        diag += [c * int(str(d)) for d in pfister(Q, draw(st.lists(SLOTS, min_size=2,
+                                                                    max_size=2))).diag]
+    return draw(st.permutations(diag))
+
+
+@settings(max_examples=40, deadline=None)
+@given(i3_plus_small_forms())
+def test_witt_class_against_local_invariants(diag):
+    c = witt_class(QuadraticForm(Q, diag))
+    kernel = [int(str(d)) for d in c.kernel.diag]
+    assert len(kernel) + 2 * c.hyperbolic_rank == len(diag)
+    assert not isotropy(c.kernel).isotropic
+    # [q] = [kernel] iff q _|_ -kernel has the hyperbolic form's invariants
+    diff = local_invariants(diag + [-d for d in kernel])
+    hyperbolic = [1, -1] * ((len(diag) + len(kernel)) // 2)
+    assert diff == local_invariants(hyperbolic, places=diff["hasse"]), (diag, kernel)
+
+
+def test_definite_i3_form_keeps_witness_splitting():
+    c = witt_class(pfister(Q, [-1, -1, -1]))
+    assert c.provenance == "witness splitting"
+    assert [str(d) for d in c.kernel.diag] == ["1"] * 8
+    # made indefinite by <<3,5,7>> (signature 0), the same class is decided
+    c = witt_class(QuadraticForm(Q, [1] * 8 + [2, -2]).perp(pfister(Q, [3, 5, 7])))
+    assert c.provenance == SIGNATURE_CLASS
+    assert [str(d) for d in c.kernel.diag] == ["1"] * 8 and c.hyperbolic_rank == 5

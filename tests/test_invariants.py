@@ -5,19 +5,22 @@ import pytest
 from oracles import nbar_oracle
 from skone.algebras import (
     commutator,
+    is_division_biquaternion,
     random_invertible,
     symbol_algebra,
     tensor,
 )
-from skone.errors import InconsistentConstruction
+from skone.errors import InconsistentConstruction, PrecisionExhausted
 from skone.fields import Rationals, parse_field
 from skone.forms import witt_equal_mod_i4
 from skone.invariants import (
     PlatonovConfig,
+    _idempotent_search,
     centre_symbol,
     centre_value_biquat,
     comparison_m_r,
     comparison_pi_r,
+    hyperbolicity_check,
     kahn_bound,
     kahn_torsion,
     kmrt_eval,
@@ -211,3 +214,54 @@ def test_platonov_algebra_constructor():
     A, T = platonov_algebra(cfg)
     assert A.dim == 16
     assert str(T) == "Qp(17)((t1))((t2))"
+
+
+def seeded_involutions(A, rng, count):
+    """The default symplectic involution, then gamma_1 (x) Int(s) gamma_2
+    for seeded pure quaternions s of the right factor."""
+    Q2 = A.tag.right
+    x, y = Q2.generator("x"), Q2.generator("y")
+    out = [make_symplectic_involution(A)]
+    while len(out) < count:
+        s = (x.scale(rng.randint(-2, 2)) + y.scale(rng.randint(-2, 2))
+             + (x * y).scale(rng.randint(-2, 2)))
+        if not Q2.nrd(s).is_zero():
+            out.append(make_symplectic_involution(A, s))
+    return out
+
+
+@pytest.mark.parametrize("field, slots", [
+    ("Q", (-1, -1, -1, 3)), ("Q", (2, 5, -1, -1)), ("Q", (1, 1, 1, 1)),
+    ("Qp(5)", (2, 5, -1, -1))])
+def test_hyperbolicity_decision_matches_idempotent_search(field, slots):
+    T = parse_field(field)
+    a, b, c, d = slots
+    A = tensor(symbol_algebra(T, a, b, 2), symbol_algebra(T, c, d, 2))
+    searched = 0
+    for sigma in seeded_involutions(A, random.Random(sum(slots)), 4):
+        decided = hyperbolicity_check(sigma)
+        assert decided.hyperbolic in (True, False) and decided.witness is None
+        assert "KMRT" in decided.provenance
+        try:
+            found = _idempotent_search(sigma)
+        except PrecisionExhausted:
+            # over Q_p the search's square roots are approximate, and its
+            # products can cancel below the working precision
+            continue
+        searched += 1
+        if found.hyperbolic:
+            assert decided.hyperbolic is True
+        if decided.hyperbolic is False:
+            # no e with e^2 = e and sigma(e) = 1 - e in the search space
+            assert found.hyperbolic is None
+    assert searched
+
+
+def test_hyperbolicity_decision_on_a_division_algebra():
+    T = parse_field("Qp(17)((t1))((t2))")
+    t1 = laurent_var_element(T, "t1")
+    t2 = laurent_var_element(T, "t2")
+    A = tensor(symbol_algebra(T, 3, t1, 2), symbol_algebra(T, 17, t2, 2))
+    assert is_division_biquaternion(A).division
+    for sigma in seeded_involutions(A, random.Random(17), 3):
+        assert hyperbolicity_check(sigma).hyperbolic is False
