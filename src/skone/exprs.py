@@ -18,6 +18,7 @@ from .fields import (
     LaurentExt,
     PAdicDescriptor,
     RootAdjunction,
+    _residue_of_exact_order,
 )
 from .forms import QuadraticForm, effective_tower, pfister
 
@@ -46,7 +47,7 @@ def default_bindings(tower: FieldTower) -> dict[str, FieldElement]:
     every CLI run); zeta is the distinguished adjoined root when present.
     """
     binds: dict[str, FieldElement] = {}
-    from .ktheory import laurent_var_element, _primitive_root
+    from .ktheory import laurent_var_element
     for var, _ in effective_tower(tower).residue_chain():
         binds[var] = laurent_var_element(tower, var)
     base = effective_tower(tower)
@@ -54,7 +55,7 @@ def default_bindings(tower: FieldTower) -> dict[str, FieldElement]:
         base = effective_tower(base.base)
     if isinstance(base, PAdicDescriptor):
         binds.setdefault("p", tower.elem(base.p))
-        binds.setdefault("u", tower.elem(_primitive_root(base.p)))
+        binds.setdefault("u", tower.elem(_residue_of_exact_order(base.p, base.p - 1)))
     cur = tower
     while True:
         if isinstance(cur, RootAdjunction):

@@ -41,39 +41,129 @@ DEFAULT_LAURENT_TERMS = 16
 # small integer helpers
 # ---------------------------------------------------------------------------
 
+# Miller-Rabin on the primes <= 41 is proven correct below this bound
+# (Sorenson-Webster 2015); above it a strong Lucas test completes BPSW.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PROVEN_BELOW = 3317044064679887385961981
+_TRIAL_LIMIT = 1000
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    if n < 4:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:  # no prime factor below 43
         return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
-    return True
+    return n < _MR_PROVEN_BELOW or _strong_lucas_probable_prime(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test with Selfridge's parameters (odd n, no factor <= 41)."""
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q, half = (1 - D) // 4, (n + 1) // 2  # half = 1/2 mod n
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    # U_k, V_k and Q^k mod n by the binary expansion of d (P = 1)
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = (U + V) * half % n, (D * U + V) * half % n, Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper factor of the odd composite n, no factor <= 41 (Brent, BIT 1980)."""
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            for k in range(0, r, 128):
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g == n:  # the batch overshot: step back one iterate at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    raise RuntimeError("unreachable: some c splits a composite")
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorisation by trial division; inputs here stay small."""
+    """Prime factorisation: trial division by 2 and odd f while f < 1000 and
+    f^2 <= n, then Pollard-Brent splitting of what remains, with BPSW
+    primality."""
     if n <= 0:
         raise ValueError("factorize expects a positive integer")
     out: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    f = 5
-    while f * f <= n:
-        for p in (f, f + 2):
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-        f += 6
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+    f = 2
+    while f < _TRIAL_LIMIT and f * f <= n:
+        while n % f == 0:
+            out[f] = out.get(f, 0) + 1
+            n //= f
+        f += 1 if f == 2 else 2
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if f * f > m or _is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            d = _pollard_brent(m)
+            stack += [d, m // d]
     return out
 
 

@@ -6,8 +6,11 @@ binary blocks [a,b] (a x^2 + x y + b y^2) plus a diagonal remainder.
 Isotropy dispatch:
   Q          Hasse-Minkowski local conditions + meet-in-the-middle witness search
   F_q        exhaustive / targeted search
-  Q_p        unit/valuation analysis through exact Hilbert symbols
+  Q_p        the local conditions alone
   k((t))...  Springer residue decomposition (residue characteristic != 2)
+
+Q and Q_p share one local layer on (valuation, unit) pairs; over Q it runs
+at infinity, at 2 and at the primes dividing an entry (fields.factorize).
 
 Witt classes over Q: an indefinite form in I^3 is Witt-equivalent to
 sig*<1> (Hasse principle, I^3(Q_p) = 0); other forms split off hyperbolic
@@ -24,8 +27,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-
 from .errors import InconsistentConstruction, Undecided, UnsupportedTower
 from .fields import (
     FieldElement,
@@ -35,6 +36,8 @@ from .fields import (
     PAdicDescriptor,
     Rationals,
     RootAdjunction,
+    _jacobi,
+    factorize,
     is_nth_power,
     laurent_split,
 )
@@ -151,20 +154,117 @@ def pfister(tower: FieldTower, entries) -> QuadraticForm:
 
 
 # ---------------------------------------------------------------------------
-# rational Hilbert symbols and square-class bookkeeping
+# the local layer: square classes at a place of Q, or over Q_p
 # ---------------------------------------------------------------------------
+#
+# At a prime p a nonzero x is the pair (v, u) of integers with x = p^v * u up
+# to squares and u a p-adic unit; only u mod 8 (p = 2) or u mod p is read.
+# At "inf" the pair is (0, u) and only the sign of u is read (Serre, A
+# Course in Arithmetic, III-IV).
 
-def _val_unit_int(x: Fraction, p: int) -> tuple[int, int]:
-    """x = p^v * unit with unit a p-free rational; unit returned as num*den."""
+_M1 = (0, -1)  # -1 at every place
+
+
+def _val_unit_int(x, place) -> tuple[int, int]:
+    """The (v, u) pair of a nonzero rational or integer x at place."""
     num, den = x.numerator, x.denominator
+    if place == "inf":
+        return 0, num * den
     v = 0
-    while num % p == 0:
-        num //= p
+    while num % place == 0:
+        num //= place
         v += 1
-    while den % p == 0:
-        den //= p
+    while den % place == 0:
+        den //= place
         v -= 1
-    return v, num * den  # same square class as num/den
+    return v, num * den  # num/den times den^2
+
+
+def _padic_val_unit(x: FieldElement) -> tuple[int, int]:
+    """The (v, u) pair of a nonzero element of its Q_p; refuses a 2-adic
+    unit that is not certified modulo 8."""
+    K = effective_tower(x.tower)
+    digits = 3 if K.p == 2 else 1
+    v, u, k = K.val_unit(x.payload, digits)
+    if k < digits:
+        raise Undecided("2-adic square classes need units modulo 8")
+    return v, u
+
+
+def _hilbert(a, b, p) -> int:
+    """(a, b)_p additively (0 for +1, 1 for -1), by Serre's formula (III.1.2)."""
+    (va, ua), (vb, ub) = a, b
+    if p == "inf":
+        return int(ua < 0 and ub < 0)
+    if p == 2:  # eps(u) = (u - 1)/2 and omega(u) = (u^2 - 1)/8 mod 2
+        omega_a, omega_b = ua % 8 in (3, 5), ub % 8 in (3, 5)
+        return ((ua % 4 == 3) * (ub % 4 == 3) + va * omega_b + vb * omega_a) % 2
+    s = va * vb * ((p - 1) // 2)
+    if vb % 2 and _jacobi(ua, p) < 0:
+        s += 1
+    if va % 2 and _jacobi(ub, p) < 0:
+        s += 1
+    return s % 2
+
+
+def _is_local_square(a, p) -> bool:
+    v, u = a
+    if p == "inf":
+        return u > 0
+    if v % 2:
+        return False
+    return u % 8 == 1 if p == 2 else _jacobi(u, p) == 1
+
+
+def _product(data) -> tuple[int, int]:
+    v, u = 0, 1
+    for dv, du in data:
+        v, u = v + dv, u * du
+    return v, u
+
+
+def _hasse(data, p) -> int:
+    """prod_{i<j} (a_i, a_j)_p additively, as sum_j (a_1 ... a_{j-1}, a_j)_p."""
+    eps, prefix = 0, (0, 1)
+    for a in data:
+        eps ^= _hilbert(prefix, a, p)
+        prefix = (prefix[0] + a[0], prefix[1] * a[1])
+    return eps
+
+
+def _hyperbolic_hasse(n: int, p) -> int:
+    """Hasse invariant of the hyperbolic form of even dimension n = 2m:
+    (-1, -1)_p^(m(m-1)/2)."""
+    m = n // 2
+    return m * (m - 1) // 2 * _hilbert(_M1, _M1, p) % 2
+
+
+def _signed_disc_pair(data) -> tuple[int, int]:
+    """(-1)^(n(n-1)/2) times the product of the n entries."""
+    v, u = _product(data)
+    return v, -u if len(data) * (len(data) - 1) // 2 % 2 else u
+
+
+def _hyperbolic_at(data, p) -> bool:
+    """Whether <data> is hyperbolic over Q_p: even dimension, square signed
+    discriminant and the hyperbolic form's Hasse invariant (these classify)."""
+    return (len(data) % 2 == 0 and _is_local_square(_signed_disc_pair(data), p)
+            and _hasse(data, p) == _hyperbolic_hasse(len(data), p))
+
+
+def _local_isotropic(data, p) -> bool:
+    """Isotropy of <data> over Q_p, p prime (Serre IV.2.2, Theorem 6)."""
+    n = len(data)
+    if n <= 1:
+        return False
+    if n >= 5:
+        return True
+    v, u = _product(data)
+    if n == 2:
+        return _is_local_square((v, -u), p)
+    if n == 3:
+        return _hilbert(_M1, (v, -u), p) == _hasse(data, p)
+    return not _is_local_square((v, u), p) or _hasse(data, p) == _hilbert(_M1, _M1, p)
 
 
 def hilbert_symbol_rational(a: Fraction, b: Fraction, place) -> int:
@@ -172,50 +272,21 @@ def hilbert_symbol_rational(a: Fraction, b: Fraction, place) -> int:
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise InconsistentConstruction("Hilbert symbol needs nonzero entries")
-    if place == "inf":
-        return -1 if (a < 0 and b < 0) else 1
-    p = place
-    alpha, u = _val_unit_int(a, p)
-    beta, w = _val_unit_int(b, p)
-    if p != 2:
-        eps = (p - 1) // 2
-        sign = 1
-        if (alpha * beta * eps) % 2:
-            sign = -sign
-        if beta % 2 and _legendre(u, p) < 0:
-            sign = -sign
-        if alpha % 2 and _legendre(w, p) < 0:
-            sign = -sign
-        return sign
-    # p = 2 (Serre's formula with eps and omega on the odd parts)
-    exp = _eps2(u) * _eps2(w) + alpha * _omega2(w) + beta * _omega2(u)
-    return -1 if exp % 2 else 1
+    return -1 if _hilbert(_val_unit_int(a, place), _val_unit_int(b, place), place) else 1
 
 
-def _legendre(u: int, p: int) -> int:
-    r = pow(u % p, (p - 1) // 2, p)
-    return 1 if r == 1 else -1
-
-
-def _eps2(u: int) -> int:
-    # (u - 1)/2 mod 2 for odd u
-    return 0 if u % 4 == 1 else 1
-
-
-def _omega2(u: int) -> int:
-    return 0 if (u % 8) in (1, 7) else 1
-
-
-def squarefree_part(x: Fraction) -> int:
-    """The squarefree integer representing the square class of x in Q^*."""
-    n = x.numerator * x.denominator
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    out = 1
-    for p, e in sympy.factorint(n).items():
-        if e % 2:
-            out *= int(p)
-    return sign * out
+def _bad_primes(ints: list[int]) -> list[int]:
+    """2 and the primes dividing an entry: the only primes where a form with
+    these entries can be anisotropic in dimension 3 or 4, or non-hyperbolic
+    in I^2.  Entries share large primes, so the primes found so far are
+    divided out before an entry is factored."""
+    primes = {2}
+    for n in ints:
+        for p in primes:
+            while n % p == 0:
+                n //= p
+        primes.update(factorize(abs(n)))
+    return sorted(primes)
 
 
 def rational_of(elem: FieldElement) -> Fraction:
@@ -271,71 +342,23 @@ def _int_diag(entries) -> list[int]:
     return out
 
 
-def rational_local_isotropy(diag_sqfree: list[int], place) -> bool:
-    """Isotropy of a nonsingular diagonal form over Q_place (place prime or 'inf')."""
-    n = len(diag_sqfree)
-    if n <= 1:
-        return False
-    if place == "inf":
-        return any(d > 0 for d in diag_sqfree) and any(d < 0 for d in diag_sqfree)
-    p = place
-    if n >= 5:
-        return True
-    d = 1
-    for x in diag_sqfree:
-        d *= x
-    eps = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            eps *= hilbert_symbol_rational(Fraction(diag_sqfree[i]),
-                                           Fraction(diag_sqfree[j]), p)
-    if n == 2:
-        return _is_padic_square(Fraction(-d), p)
-    if n == 3:
-        return hilbert_symbol_rational(Fraction(-1), Fraction(-d), p) == eps
-    # n == 4
-    if not _is_padic_square(Fraction(d), p):
-        return True
-    return eps == hilbert_symbol_rational(Fraction(-1), Fraction(-1), p)
-
-
-def _is_padic_square(x: Fraction, p: int) -> bool:
-    v, u = _val_unit_int(x, p)
-    if v % 2:
-        return False
-    if p == 2:
-        return u % 8 == 1
-    return _legendre(u, p) == 1
-
-
-def _bad_primes(ints: list[int]) -> list[int]:
-    primes = {2}
-    for n in ints:
-        for p in sympy.factorint(abs(n)):
-            primes.add(int(p))
-    return sorted(primes)
-
-
 def _isotropy_rational(q: QuadraticForm) -> IsotropyResult:
     diag = _int_diag(q.diag)
     if len(diag) == 1:
         return IsotropyResult(False, None, "one-dimensional form")
-    sqfree = [squarefree_part(Fraction(d)) for d in diag]
     if len(diag) == 2:
-        if _rational_is_square(Fraction(-sqfree[0] * sqfree[1])):
+        if _rational_is_square(Fraction(-diag[0] * diag[1])):
             w = _witness_search(diag)
             return IsotropyResult(True, w, "binary: -a1 a2 is a square")
         return IsotropyResult(False, None, "binary: -a1 a2 is not a square")
-    if not rational_local_isotropy(sqfree, "inf"):
+    if not (any(d > 0 for d in diag) and any(d < 0 for d in diag)):
         return IsotropyResult(False, None, "definite at the real place")
     if len(diag) >= 5:
         w = _witness_search(diag)
         return IsotropyResult(True, w,
                               "dim >= 5 and indefinite at the real place (Hasse-Minkowski)")
-    failures = []
-    for p in _bad_primes(sqfree):
-        if not rational_local_isotropy(sqfree, p):
-            failures.append(p)
+    failures = [p for p in _bad_primes(diag)
+                if not _local_isotropic([_val_unit_int(d, p) for d in diag], p)]
     if failures:
         return IsotropyResult(False, None,
                               f"anisotropic over Q_p for p in {failures}")
@@ -447,73 +470,28 @@ def _finite_sqrt(x: FieldElement, F: FiniteField):
 
 # --- Q_p ----------------------------------------------------------------------
 
-def padic_square_class(elem: FieldElement) -> tuple[int, int]:
-    """(v mod 2, small unit representative) of the square class over Q_p."""
-    tower = effective_tower(elem.tower)
-    v, unit, k = tower.val_unit(elem.payload)
-    p = tower.p
-    if p == 2:
-        if k < 3:
-            raise Undecided("need the unit modulo 8 for 2-adic square classes")
-        return v % 2, unit % 8
-    return v % 2, unit % p
-
-
-def _padic_hilbert_additive(a: FieldElement, b: FieldElement) -> int:
-    """(a,b)_p with values in {0,1} for the descriptor tower of a."""
-    tower = effective_tower(a.tower)
-    p = tower.p
-    va, ua, _ = tower.val_unit(a.payload)
-    vb, ub, kb = tower.val_unit(b.payload)
-    if p != 2:
-        eps = (p - 1) // 2
-        total = (va * vb * eps) % 2
-        if vb % 2 and _legendre(ua, p) < 0:
-            total ^= 1
-        if va % 2 and _legendre(ub, p) < 0:
-            total ^= 1
-        return total
-    if kb < 3:
-        raise Undecided("2-adic Hilbert symbol needs units modulo 8")
-    exp = _eps2(ua) * _eps2(ub) + va * _omega2(ub) + vb * _omega2(ua)
-    return exp % 2
+_PADIC_CERTIFICATES = {
+    (2, True): "binary: -a1 a2 is a square",
+    (2, False): "binary: -a1 a2 is a nonsquare (valuation/unit analysis)",
+    (3, True): "ternary Hilbert criterion",
+    (3, False): "ternary Hilbert criterion (anisotropic)",
+    (4, True): "dim 4, trivial disc, Hasse matches (-1,-1)",
+    (4, False): "dim 4 anisotropic: the unique norm-form class",
+}
 
 
 def _isotropy_padic(q: QuadraticForm) -> IsotropyResult:
-    tower = effective_tower(q.tower)
     n = q.dim
     if n == 1:
         return IsotropyResult(False, None, "one-dimensional form")
     if n >= 5:
         return IsotropyResult(True, None, "dim >= 5 over a p-adic field")
-    diag = list(q.diag)
-    if n == 2:
-        d = -(diag[0] * diag[1])
-        if is_nth_power(d, 2).is_power:
-            return IsotropyResult(True, None, "binary: -a1 a2 is a square")
-        return IsotropyResult(False, None,
-                              "binary: -a1 a2 is a nonsquare (valuation/unit analysis)")
-    eps = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            eps ^= _padic_hilbert_additive(diag[i], diag[j])
-    det = diag[0]
-    for x in diag[1:]:
-        det = det * x
-    if n == 3:
-        m1 = tower.elem(-1)
-        cond = _padic_hilbert_additive(m1, m1 * det)
-        if cond == eps:
-            return IsotropyResult(True, None, "ternary Hilbert criterion")
-        return IsotropyResult(False, None, "ternary Hilbert criterion (anisotropic)")
-    # n == 4
-    if not is_nth_power(det, 2).is_power:
+    p = effective_tower(q.tower).p
+    data = [_padic_val_unit(d) for d in q.diag]
+    iso = _local_isotropic(data, p)
+    if n == 4 and iso and not _is_local_square(_product(data), p):
         return IsotropyResult(True, None, "dim 4 with nontrivial discriminant")
-    m1 = tower.elem(-1)
-    if eps == _padic_hilbert_additive(m1, m1):
-        return IsotropyResult(True, None, "dim 4, trivial disc, Hasse matches (-1,-1)")
-    return IsotropyResult(False, None,
-                          "dim 4 anisotropic: the unique norm-form class")
+    return IsotropyResult(iso, None, _PADIC_CERTIFICATES[n, iso])
 
 
 # --- Laurent towers -----------------------------------------------------------
@@ -868,7 +846,6 @@ def _strip_small_squares(d: FieldElement, tower) -> FieldElement:
     n = x.numerator * x.denominator
     sign = -1 if n < 0 else 1
     n = abs(n)
-    out = 1
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
         while n % (p * p) == 0:
             n //= p * p
@@ -882,16 +859,19 @@ def _strip_small_squares(d: FieldElement, tower) -> FieldElement:
 
 def _witt_padic(q: QuadraticForm) -> WittClass:
     tower = effective_tower(q.tower)
-    n = q.dim
+    p, n = tower.p, q.dim
+    data = [_padic_val_unit(d) for d in q.diag]
     # candidate anisotropic kernels over Q_p have dim <= 4
     reps = _padic_square_class_reps(tower)
     for r in range(n % 2, min(n, 4) + 1, 2):
         for cand in itertools.combinations_with_replacement(reps, r):
-            cform = QuadraticForm(q.tower, [q.tower.elem(c) for c in cand])
-            if r and isotropy(cform).isotropic:
+            cdata = [_val_unit_int(c, p) for c in cand]
+            if _local_isotropic(cdata, p):
                 continue
-            if _padic_class_equal(q, cform):
-                return WittClass(q.tower, cform, (n - r) // 2, "invariant classification")
+            # [q] = [cand] iff q _|_ -cand is hyperbolic
+            if _hyperbolic_at(data + [(v, -u) for v, u in cdata], p):
+                return WittClass(q.tower, QuadraticForm(q.tower, cand), (n - r) // 2,
+                                 "invariant classification")
     raise Undecided("no p-adic kernel matched (internal error)")
 
 
@@ -899,54 +879,8 @@ def _padic_square_class_reps(tower: PAdicDescriptor) -> list[int]:
     p = tower.p
     if p == 2:
         return [1, 3, 5, 7, 2, 6, 10, 14]
-    u = _nonresidue(p)
+    u = next(u for u in range(2, p) if _jacobi(u, p) < 0)
     return [1, u, p, u * p]
-
-
-def _nonresidue(p: int) -> int:
-    for u in range(2, p):
-        if _legendre(u, p) < 0:
-            return u
-    raise RuntimeError("no quadratic nonresidue found")
-
-
-def _padic_class_equal(q1: QuadraticForm, q2: QuadraticForm) -> bool:
-    """Equality in the Witt group via (dim mod 2, disc, Hasse) completeness."""
-    if (q1.dim - q2.dim) % 2:
-        return False
-    tower = q1.tower
-    diff = q1.perp(q2.neg())
-    # zero class iff even dim, trivial signed disc, Hasse equal to hyperbolic's
-    return _padic_class_is_zero(diff)
-
-
-def _padic_class_is_zero(q: QuadraticForm) -> bool:
-    if q.dim % 2:
-        return False
-    tower = q.tower
-    disc = _signed_disc(q)
-    if not is_nth_power(disc, 2).is_power:
-        return False
-    eps = 0
-    diag = list(q.diag)
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            eps ^= _padic_hilbert_additive(diag[i], diag[j])
-    m = q.dim // 2
-    hyp = _hyperbolic_hasse_padic(tower, q.dim)
-    return eps == hyp
-
-
-def _hyperbolic_hasse_padic(tower, dim: int) -> int:
-    m = dim // 2
-    one = tower.elem(1)
-    mone = tower.elem(-1)
-    diag = [one, mone] * m
-    eps = 0
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            eps ^= _padic_hilbert_additive(diag[i], diag[j])
-    return eps
 
 
 def _signed_disc(q: QuadraticForm) -> FieldElement:
@@ -1080,9 +1014,10 @@ def i_level(c: WittClass) -> LevelCertificate:
     if isinstance(tower, PAdicDescriptor):
         if c.kernel.dim % 2:
             return LevelCertificate(0, True, "odd dimension")
-        if not is_nth_power(_signed_disc(c.kernel), 2).is_power:
+        data = [_padic_val_unit(d) for d in c.kernel.diag]
+        if not _is_local_square(_signed_disc_pair(data), tower.p):
             return LevelCertificate(1, True, "nontrivial signed discriminant")
-        if _padic_class_is_zero(c.kernel):
+        if _hyperbolic_at(data, tower.p):
             return LevelCertificate(4, True, "zero class (I^3 of a p-adic field vanishes)")
         return LevelCertificate(2, True,
                                 "nonzero class with trivial disc; I^3(Q_p) = 0 caps the level")
@@ -1120,21 +1055,11 @@ def _rational_below_i3(ints: list[int]) -> LevelCertificate | None:
         disc *= d
     if not _rational_is_square(Fraction(disc)):
         return LevelCertificate(1, True, "nontrivial signed discriminant")
-    hyp = [1, -1] * (n // 2)
     for v in ["inf"] + _bad_primes(ints):
-        if _hasse_product(ints, v) != _hasse_product(hyp, v):
+        if _hasse([_val_unit_int(d, v) for d in ints], v) != _hyperbolic_hasse(n, v):
             return LevelCertificate(2, True,
                                     f"Clifford/Hasse data nontrivial at place {v}")
     return None
-
-
-def _hasse_product(ints: list[int], place) -> int:
-    """prod_{i<j} (a_i, a_j)_v, as prod_j (a_1 ... a_{j-1}, a_j)_v."""
-    eps, prefix = 1, 1
-    for d in ints:
-        eps *= hilbert_symbol_rational(Fraction(prefix), Fraction(d), place)
-        prefix *= d
-    return eps
 
 
 def _i_level_laurent(q: QuadraticForm) -> tuple[int, str]:

@@ -30,6 +30,8 @@ from .fields import (
     FieldTower,
     LaurentExt,
     PAdicDescriptor,
+    _is_prime,
+    _residue_of_exact_order,
     factorize,
     is_nth_power,
     primitive_root_of_unity,
@@ -122,7 +124,7 @@ def kahn_torsion(factors: list[tuple[int, int, int]]) -> int:
         if p in seen:
             raise InconsistentConstruction(f"repeated prime {p}")
         seen.add(p)
-        if list(factorize(p).items()) != [(p, 1)]:
+        if not _is_prime(p):
             raise InconsistentConstruction(f"{p} is not prime")
         if ind % per or _not_power_of(ind, p) or _not_power_of(per, p):
             raise InconsistentConstruction(
@@ -171,8 +173,8 @@ class PlatonovConfig:
         """Class of x in k^x/(k^x)^n as (valuation mod n, unit dlog mod n)."""
         K = effective_tower(self.base)
         v, u, _ = K.val_unit(x.payload)
-        from .ktheory import _dlog_mod_p, _primitive_root
-        g = _primitive_root(self.p)
+        from .ktheory import _dlog_mod_p
+        g = _residue_of_exact_order(self.p, self.p - 1)
         return v % self.n, _dlog_mod_p(u % self.p, g, self.p) % self.n
 
     def class_order(self, x: FieldElement) -> int:

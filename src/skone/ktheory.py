@@ -37,7 +37,7 @@ from .fields import (
     is_nth_power,
     laurent_split,
 )
-from .forms import _padic_hilbert_additive, effective_tower
+from .forms import _hilbert, _is_local_square, _padic_val_unit, _product, effective_tower
 
 RESIDUE_CONVENTION = "residue: uniformizer-first, second-projection normalisation"
 
@@ -258,9 +258,7 @@ def hilbert_pairing(a: FieldElement, b: FieldElement, modulus: int) -> int:
         raise UnsupportedTower("hilbert_pairing expects p-adic descriptor elements")
     p = K.p
     if modulus == 2:
-        if p == 2:
-            return _padic_hilbert_additive(a, b)
-        # fall through to the tame computation (2 | p-1)
+        return _hilbert(_padic_val_unit(a), _padic_val_unit(b), p)
     if p != 2 and (p - 1) % modulus == 0:
         return _tame_pairing(K, a, b, modulus)
     raise UnsupportedTower(
@@ -276,11 +274,9 @@ def _tame_pairing(K: PAdicDescriptor, a: FieldElement, b: FieldElement,
     # tame symbol T(a,b) = (-1)^(va vb) a^vb / b^va mod p
     t = pow(-1, va * vb, p) * pow(ua % p, vb, p) * pow(pow(ub % p, -1, p), va, p) % p
     tm = pow(t, (p - 1) // m, p)
-    zbar = pow(_residue_of_exact_order(p, m), 1, p) if m > 2 else p - 1
     if m == 1:
         return 0
-    if m == 2:
-        return 0 if tm == 1 else 1
+    zbar = _residue_of_exact_order(p, m)
     val = 1
     for k in range(m):
         if val == tm:
@@ -344,32 +340,18 @@ def _padic_kclass_is_zero(c: KClass, K: PAdicDescriptor) -> bool:
                                           else x, y, m)
         return total % m == 0
     # degree 1: valuation and unit class
-    vtot = 0
-    if p == 2:
-        u8 = 1
-        for cf, (x,) in c.terms:
-            v, u, k = K.val_unit(x.payload)
-            if k < 3:
-                raise Undecided("2-adic unit precision below 8")
-            vtot += cf * v
-            u8 = (u8 * pow(u % 8, cf, 8)) % 8
-        return vtot % m == 0 and u8 % 8 == 1
+    if p == 2:  # m = 2: is the product of the x^cf a square in Q_2?
+        pairs = [(cf * v, u ** (cf % 2)) for cf, (x,) in c.terms
+                 for v, u in [_padic_val_unit(x)]]
+        return _is_local_square(_product(pairs), 2)
     d = math.gcd(m, p - 1)
-    ulog = 0
-    g = _primitive_root(p)
+    vtot = ulog = 0
+    g = _residue_of_exact_order(p, p - 1)
     for cf, (x,) in c.terms:
         v, u, _ = K.val_unit(x.payload)
         vtot += cf * v
         ulog += cf * _dlog_mod_p(u % p, g, p)
     return vtot % m == 0 and ulog % d == 0
-
-
-def _primitive_root(p: int) -> int:
-    from .fields import factorize
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in factorize(p - 1)):
-            return g
-    raise InconsistentConstruction("no primitive root (p not prime?)")
 
 
 def _dlog_mod_p(u: int, g: int, p: int) -> int:
@@ -501,7 +483,7 @@ def _evaluate_base_class(k: KClass, names) -> CoordinateRecord:
         if deg == 1:
             p = tower.p
             vtot, ulog = 0, 0
-            g = _primitive_root(p)
+            g = _residue_of_exact_order(p, p - 1)
             for cf, (x,) in k.terms:
                 v, u, _ = tower.val_unit(x.payload)
                 vtot += cf * v
@@ -599,7 +581,7 @@ def field_generators_mod_m(T: FieldTower, m: int) -> list[FieldElement]:
     p = base.p
     if m > 1 and (p - 1) % m != 0 and m != 2:
         raise UnsupportedTower("wild modulus for the generator set")
-    gens = [T.elem(_primitive_root(p)), T.elem(p)]
+    gens = [T.elem(_residue_of_exact_order(p, p - 1)), T.elem(p)]
     for var, _ in chain:
         gens.append(laurent_var_element(T, var))
     return gens

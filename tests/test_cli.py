@@ -1,6 +1,7 @@
 import json
 import pathlib
 import shlex
+import time
 
 import pytest
 
@@ -26,6 +27,17 @@ def test_bounds(capsys):
     assert doc["schema"] == 1
     code, doc = run_json(capsys, ["bounds", "--factors", "(3,9,3),(2,4,2)"])
     assert doc["payload"]["torsion_m"] == 18
+
+
+def test_bounds_factor_large_inputs(capsys):
+    t0 = time.perf_counter()
+    code, doc = run_json(capsys, ["bounds", "--n", "998244366975420990913973297"])
+    assert code == EXIT_OK
+    assert doc["payload"]["nbar"] == 1000000007  # n = 1000000007^2 * 998244353
+    code, doc = run_json(capsys, ["bounds", "--factors", "(998244359987710471,1,1)"])
+    assert code == EXIT_USAGE
+    assert doc["message"] == "998244359987710471 is not prime"
+    assert time.perf_counter() - t0 < 5
 
 
 def test_bounds_usage_errors(capsys):

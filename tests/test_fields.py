@@ -1,9 +1,13 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skone.errors import FieldSyntaxError, PrecisionExhausted
@@ -14,6 +18,7 @@ from skone.fields import (
     PAdicDescriptor,
     Rationals,
     RootAdjunction,
+    factorize,
     is_nth_power,
     laurent_split,
     parse_field,
@@ -270,3 +275,41 @@ def test_poly_divmod_non_monic_over_f7(num, den, lead):
 ])
 def test_finite_field_moduli_are_pinned(q, modulus):
     assert FiniteField(q).modulus == modulus
+
+
+# --- the factoriser against sympy ------------------------------------------
+
+PRIMES_30 = st.integers(min_value=3, max_value=2**30).map(lambda x: int(sympy.prevprime(x)))
+
+
+@st.composite
+def factoring_inputs(draw):
+    """n < 2^90: a small cofactor, primes below 2^30 to powers 1-3 (so
+    semiprimes and prime powers) and one prime as large as fits."""
+    n = draw(st.integers(min_value=1, max_value=2**12))
+    for p in draw(st.lists(PRIMES_30, max_size=3)):
+        e = draw(st.integers(min_value=1, max_value=3))
+        if n * p ** e < 2**90:
+            n *= p ** e
+    if 2**90 // n > 3 and draw(st.booleans()):
+        n *= int(sympy.prevprime(draw(st.integers(min_value=3, max_value=2**90 // n))))
+    return n
+
+
+@settings(max_examples=80, deadline=None)
+@given(factoring_inputs())
+@example(998244366975420990913973297)   # 1000000007^2 * 998244353
+@example(998244359987710471)            # 998244353 * 1000000007
+@example(318665857834031151167461)      # strong pseudoprime to the bases <= 37
+@example(3317044064679887385961981)     # strong pseudoprime to the bases <= 41
+@example(int(sympy.nextprime(3317044064679887385961981)))
+def test_factorize_matches_sympy(n):
+    assert factorize(n) == {int(p): e for p, e in sympy.factorint(n).items()}
+
+
+def test_runtime_modules_do_not_import_sympy():
+    src = pathlib.Path(__file__).parents[1] / "src"
+    code = ("import skone.forms, skone.ktheory, skone.invariants, sys; "
+            "assert 'sympy' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": str(src)})

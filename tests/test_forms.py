@@ -10,6 +10,7 @@ from oracles import (
     local_invariants,
     qp_ternary_solvable,
     springer_brute_isotropy,
+    square_class_rep_2,
     witness_box_search,
 )
 from skone.fields import FiniteField, PAdicDescriptor, Rationals, parse_field
@@ -165,7 +166,7 @@ def test_hasse_minkowski_vs_box_search():
 
 
 def test_padic_isotropy_vs_springer_oracle():
-    for p in (3, 5, 7, 11):
+    for p in (2, 3, 5, 7, 11):
         K = PAdicDescriptor(p)
         rng = random.Random(p)
         for _ in range(60):
@@ -173,6 +174,32 @@ def test_padic_isotropy_vs_springer_oracle():
             b = rng.choice([x for x in range(-20, 21) if x])
             q = QuadraticForm(K, [a, b, -1])
             assert isotropy(q).isotropic == qp_ternary_solvable(a, b, p), (a, b, p)
+
+
+def _expected_padic_level(diag, p):
+    """The I^n level of <diag> over Q_p from the oracle's invariants, with
+    the discriminant's square class found by brute force."""
+    if len(diag) % 2:
+        return 0
+    inv = local_invariants(diag, places=[p])
+    d = inv["disc"]
+    if p == 2:
+        square = square_class_rep_2(d) == 1
+    else:
+        square = d % p != 0 and any((x * x - d) % p == 0 for x in range(1, p))
+    if not square:
+        return 1
+    hyperbolic = local_invariants([1, -1] * (len(diag) // 2), places=[p])
+    return 4 if inv["hasse"][p] == hyperbolic["hasse"][p] else 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5]),
+       st.lists(st.integers(min_value=-30, max_value=30).filter(bool),
+                min_size=1, max_size=6))
+def test_padic_i_level_against_local_invariants(p, diag):
+    c = witt_class(QuadraticForm(PAdicDescriptor(p), diag))
+    assert i_level(c).level == _expected_padic_level(diag, p), (p, diag, c)
 
 
 def test_springer_vs_truncated_search():

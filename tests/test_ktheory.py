@@ -98,6 +98,15 @@ def test_hilbert_pairing_examples():
     assert hilbert_pairing(Q2.elem(17), Q2.elem(2), 2) == 0
 
 
+def test_2adic_pairing_refuses_units_below_mod_8_on_either_side():
+    # a unit known only mod 4 could be 3 or 7, and (3,2)_2 != (7,2)_2
+    Q2 = PAdicDescriptor(2)
+    three_mod_4 = Q2.approx(0, 3, 2)
+    for a, b in ((three_mod_4, Q2.elem(2)), (Q2.elem(2), three_mod_4)):
+        with pytest.raises(Undecided):
+            hilbert_pairing(a, b, 2)
+
+
 def test_pairing_bilinearity_antisymmetry():
     for p, m in ((5, 2), (7, 3), (13, 4), (11, 5)):
         K = PAdicDescriptor(p)
@@ -124,10 +133,11 @@ def test_pairing_vs_solvability_oracle():
 
 
 def test_pairing_vs_norm_oracle_tame():
-    from skone.ktheory import _primitive_root, _dlog_mod_p
+    from skone.fields import _residue_of_exact_order
+    from skone.ktheory import _dlog_mod_p
     for p, m in ((7, 3), (13, 4), (11, 5)):
         K = PAdicDescriptor(p)
-        g = _primitive_root(p)
+        g = _residue_of_exact_order(p, p - 1)
         rng = random.Random(p)
         for _ in range(200):
             va, vb = rng.randint(-2, 2), rng.randint(-2, 2)
