@@ -43,8 +43,9 @@ def default_bindings(tower: FieldTower) -> dict[str, FieldElement]:
     """Names available in element expressions over a tower.
 
     Laurent variables bind to their monomials; over p-adic descriptors,
-    p is the prime and u the smallest primitive root modulo p (reported in
-    every CLI run); zeta is the distinguished adjoined root when present.
+    p is the prime and, for odd p, u the smallest primitive root modulo p
+    (reported in every CLI run; Qp(2) binds no u); zeta is the
+    distinguished adjoined root when present.
     """
     binds: dict[str, FieldElement] = {}
     from .ktheory import laurent_var_element
@@ -55,7 +56,8 @@ def default_bindings(tower: FieldTower) -> dict[str, FieldElement]:
         base = effective_tower(base.base)
     if isinstance(base, PAdicDescriptor):
         binds.setdefault("p", tower.elem(base.p))
-        binds.setdefault("u", tower.elem(_residue_of_exact_order(base.p, base.p - 1)))
+        if base.p != 2:
+            binds.setdefault("u", tower.elem(_residue_of_exact_order(base.p, base.p - 1)))
     cur = tower
     while True:
         if isinstance(cur, RootAdjunction):

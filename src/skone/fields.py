@@ -486,7 +486,7 @@ class PAdicDescriptor(FieldTower):
         self.precision = precision
 
     def _key(self):
-        return (self.p,)
+        return (self.p, self.precision)
 
     def __str__(self):
         return f"Qp({self.p})"

@@ -20,7 +20,7 @@ from .algebras import (
     TensorTag,
     is_division_biquaternion,
     make_symplectic_involution,  # re-exported: pairs with kmrt_eval
-    pfaffian_data,
+    pfaffian_data,  # re-exported
     tensor,
     trp,
 )
@@ -262,7 +262,7 @@ def _division_certificate_n2(cfg: PlatonovConfig):
 class HyperbolicityReport:
     hyperbolic: bool | None       # None = the idempotent search found no witness
     provenance: str
-    witness: AlgElement | None = None
+    witness: AlgElement | None = None   # idempotent, or square-zero x in Symd^0
 
 
 def hyperbolicity_check(sigma: Involution,
@@ -311,22 +311,21 @@ def _q_sigma(sigma: Involution) -> QuadraticForm:
     """q_sigma(x) = x^2 on Symd(A, sigma)^0, diagonalised; degree 4 symplectic.
 
     The polar form is b(x, y) = (xy + yx)/2, a scalar on Symd^0."""
-    A = sigma.algebra
-    half = Fraction(1, 2)
-    basis = []
-    for coords in sigma.symd_basis():
-        x = A.element(coords)
-        basis.append(x - A.one().scale(trp(sigma, x) * half))
+    basis = _symd0_parts(sigma)
     gram = [[None] * len(basis) for _ in basis]
     for i, x in enumerate(basis):
         for j in range(i, len(basis)):
             y = basis[j]
-            gram[i][j] = gram[j][i] = (x * y + y * x).coords[0] * half
-    entries = diagonalize_gram(gram, A.base)
-    if len(entries) != 5:
-        raise InconsistentConstruction(
-            f"q_sigma has rank {len(entries)}, not 5; sigma is not symplectic")
-    return QuadraticForm(A.base, entries)
+            gram[i][j] = gram[j][i] = (x * y + y * x).coords[0] * Fraction(1, 2)
+    return QuadraticForm(sigma.algebra.base, diagonalize_gram(gram, sigma.algebra.base))
+
+
+def _symd0_parts(sigma: Involution) -> list[AlgElement]:
+    """x - Trp(x)/2 for the basis vectors x of Symd(A, sigma): they span
+    Symd^0, the complement of the scalars (one of them may be 0)."""
+    A = sigma.algebra
+    return [x - A.one().scale(trp(sigma, x) * Fraction(1, 2))
+            for x in map(A.element, sigma.symd_basis())]
 
 
 def _idempotent_search(sigma: Involution) -> HyperbolicityReport:
@@ -385,8 +384,18 @@ def kmrt_eval(A: AlgebraPresentation, sigma: Involution, a: AlgElement,
 
     Returns Phi_v (16-dimensional) with v solving v (Trp(v) - v)^{-1} =
     -sigma(a) a, its Witt class, and the certified I-level (always >= 3).
-    v_override supplies an alternative admissible v (verified before use),
-    which the well-definedness tests exercise."""
+
+    w = -sigma(a) a lies in Symd(A, sigma) with Nrp(w) = Nrd(a) = 1, so it
+    satisfies w^2 - Trp(w) w + 1 = 0 (KMRT, sections 2 and 16), and v is
+    admissible by construction on every computed branch:
+      - 2 + Trp(w) != 0: v = 1 + w has Nrp(v) = 2 + Trp(w) != 0 and
+        v (Trp(v) - v) = Nrp(v), so v (Trp(v) - v)^{-1} = w;
+      - w = -1: any invertible v in Symd with Trp(v) = 0;
+      - otherwise x = w + 1 is a nonzero element of Symd^0 with x^2 = 0, so
+        sigma is hyperbolic (see ``hyperbolicity_check``) and the invariant is
+        the zero class, certified by that x.
+    Only a caller-supplied v_override (an alternative admissible v, which
+    the well-definedness tests exercise) is verified before use."""
     if A.degree != 4:
         raise UnsupportedTower("the invariant is defined for biquaternions")
     if A.base.characteristic == 2:
@@ -394,6 +403,8 @@ def kmrt_eval(A: AlgebraPresentation, sigma: Involution, a: AlgElement,
             "characteristic-2 evaluation goes through the characteristic-0 lift")
     if not A.nrd(a).is_one():
         raise InconsistentConstruction("a is not in SL1 (Nrd != 1)")
+    if sigma.kind() != "symplectic":
+        raise InconsistentConstruction("the invariant needs a symplectic involution")
     certs = []
     if division is None:
         try:
@@ -404,99 +415,57 @@ def kmrt_eval(A: AlgebraPresentation, sigma: Involution, a: AlgElement,
             division = None
     hyp = hyperbolicity_check(sigma, division)
     if hyp.hyperbolic:
-        zero = witt_class(QuadraticForm(A.base, ()))
-        lvl = i_level(zero)
-        certs.append(("sigma hyperbolic", "computed", "invariant is 0 by the case split"))
-        return KmrtResult(zero, lvl, None, None, hyp, certs)
+        return _zero_invariant(A, hyp, certs, "invariant is 0 by the case split")
     w = -(sigma.apply(a) * a)
-    pf = pfaffian_data(sigma, w)
-    if not pf.nrp.is_one():
-        raise InconsistentConstruction(
-            "Nrp(-sigma(a)a) != 1; the element is outside the supported locus")
-    t = pf.trp
-    two_plus_t = A.base.elem(2) + t
     v = None
     if v_override is not None:
         v = A.coerce(v_override)
+        _verify_v(sigma, v, w)
         certs.append(("v-solver", "computed", "caller-supplied admissible v"))
-    elif not two_plus_t.is_zero():
+    elif not (A.base.elem(2) + trp(sigma, w)).is_zero():
         v = A.one() + w
         certs.append(("v-solver", "computed", "closed form v = 1 + w (2 + Trp(w) != 0)"))
-    elif (w + A.one()).is_zero():
-        v = _trace_zero_invertible(sigma)
-        certs.append(("v-solver", "computed",
-                      "w = -1: any invertible v in Symd with Trp(v) = 0"))
     else:
-        v = _v_linear_fallback(sigma, w)
-        certs.append(("v-solver", "computed", "exact linear algebra over Symd"))
-    if v is None:
-        raise Undecided("no valid v found; this contradicts the cited existence lemma")
-    _verify_v(sigma, v, w)
+        # x = w + 1 lies in Symd^0 with Prp_w = (X + 1)^2, so x^2 = 0.  For
+        # w = -1 any invertible v in Symd^0 will do; a nonzero x in Symd^0
+        # that is not invertible has Nrp(x) = 0, so again x^2 = -Nrp(x) = 0
+        x = w + A.one()
+        if x.is_zero():
+            x = next(z for z in _symd0_parts(sigma) if not z.is_zero())
+            if not A.nrd(x).is_zero():
+                v = x
+                certs.append(("v-solver", "computed",
+                              "w = -1: any invertible v in Symd with Trp(v) = 0"))
+        if v is None:
+            hyp = HyperbolicityReport(
+                True, f"x = {x!r} is a nonzero element of Symd(A, sigma)^0 with "
+                "x^2 = 0; KMRT section 16 criterion", x)
+            return _zero_invariant(A, hyp, certs,
+                                   f"square-zero x = {x!r} in Symd(A, sigma)^0; "
+                                   "invariant is 0 by the case split")
     form = _phi_form(sigma, v)
     normalized, scale = content_normalized(form)
     if scale != 1:
         certs.append(("normalisation", "computed",
                       f"class evaluated on {scale} * Phi_v; I-level decisions "
                       "are invariant under global scaling"))
-    # certified before any splitting: a class in I^3 is never left undecided
-    lvl = i_level(WittClass(normalized.tower, normalized))
-    if lvl.level < 3:
-        raise InconsistentConstruction(
-            f"Phi_v landed at level {lvl.level} < 3; inconsistent with the value group")
     wc = witt_class(normalized)
     lvl = i_level(wc)
     certs.append(("I-level", "computed", lvl.detail))
     return KmrtResult(wc, lvl, form, v, hyp, certs)
 
 
-def _trace_zero_invertible(sigma: Involution) -> AlgElement | None:
-    A = sigma.algebra
-    basis = [A.element(v) for v in sigma.symd_basis()]
-    half = Fraction(1, 2)
-    for z in basis:
-        z0 = z - A.one().scale(trp(sigma, z) * half)
-        if not z0.is_zero() and not A.nrd(z0).is_zero():
-            return z0
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            z = basis[i] + basis[j]
-            z0 = z - A.one().scale(trp(sigma, z) * half)
-            if not z0.is_zero() and not A.nrd(z0).is_zero():
-                return z0
-    return None
-
-
-def _v_linear_fallback(sigma: Involution, w: AlgElement) -> AlgElement | None:
-    """Solve v + w v - Trp(v) w = 0 for v in Symd, invertible."""
-    A = sigma.algebra
-    basis = [A.element(x) for x in sigma.symd_basis()]
-    cols = []
-    for b in basis:
-        expr = b + w * b - w.scale(trp(sigma, b))
-        cols.append(list(expr.coords))
-    mat = [[cols[j][i] for j in range(len(basis))] for i in range(A.dim)]
-    null = nullspace(mat, A.base)
-
-    def from_coeffs(coeffs):
-        cand = A.zero()
-        for c, b in zip(coeffs, basis):
-            cand = cand + b.scale(c)
-        return cand
-
-    for coeffs in null:
-        cand = from_coeffs(coeffs)
-        if not cand.is_zero() and not A.nrd(cand).is_zero():
-            return cand
-    import itertools as _it
-    for i, j in _it.combinations(range(len(null)), 2):
-        for ci, cj in ((1, 1), (1, -1), (2, 1), (1, 2)):
-            cand = from_coeffs(null[i]).scale(ci) + from_coeffs(null[j]).scale(cj)
-            if not cand.is_zero() and not A.nrd(cand).is_zero():
-                return cand
-    return None
+def _zero_invariant(A: AlgebraPresentation, hyp: HyperbolicityReport, certs,
+                    detail: str) -> KmrtResult:
+    """The zero class, returned when sigma is hyperbolic."""
+    zero = witt_class(QuadraticForm(A.base, ()))
+    certs.append(("sigma hyperbolic", "computed", detail))
+    return KmrtResult(zero, i_level(zero), None, None, hyp, certs)
 
 
 def _verify_v(sigma: Involution, v: AlgElement, w: AlgElement):
+    """Check a caller-supplied v: v in Symd, v and Trp(v) - v invertible,
+    and v (Trp(v) - v)^{-1} = w."""
     A = sigma.algebra
     if not sigma.symd_contains(v):
         raise InconsistentConstruction("v is not in Symd")
@@ -518,10 +487,7 @@ def _phi_form(sigma: Involution, v: AlgElement) -> QuadraticForm:
     m = [[trp(sigma, sig_basis[i] * w_cols[j]) for j in range(A.dim)]
          for i in range(A.dim)]
     gram = [[(m[i][j] + m[j][i]) * half for j in range(A.dim)] for i in range(A.dim)]
-    entries = diagonalize_gram(gram, base)
-    if len(entries) != A.dim:
-        raise InconsistentConstruction("Phi_v is singular; sigma data inconsistent")
-    return QuadraticForm(base, entries)
+    return QuadraticForm(base, diagonalize_gram(gram, base))
 
 
 # ---------------------------------------------------------------------------

@@ -4,18 +4,17 @@ map r, Kato's phi, the Artin-Schreier-Witt component i*, and the algebra lift
 [a,b) (x) [c,d)  ->  (4a+1,b) (x) (4c+1,d).
 
 The universal addition/multiplication/negation polynomials are generated once
-from ghost components over the integers (with sympy) and cached; evaluating
-them modulo p is both the implementation and, on integral lifts, the test
-oracle's reference point.
+from ghost components by an integer recursion over dict polynomials (no
+computer algebra system) and cached; evaluating them modulo p is both the
+implementation and, on integral lifts, the test oracle's reference point.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-
-import sympy
 
 from .errors import InconsistentConstruction, UnsupportedTower
 from .fields import FieldElement, FieldTower, FiniteField
@@ -29,42 +28,53 @@ MAX_LENGTH = 3
 # ---------------------------------------------------------------------------
 # universal polynomials from ghost components
 # ---------------------------------------------------------------------------
+# An integer polynomial in x_0..x_{l-1}, y_0..y_{l-1} is a Counter from
+# exponent tuples (x exponents, then y exponents) to int coefficients.
 
-def _ghost(comps, p: int, n: int):
-    return sum(p ** i * comps[i] ** (p ** (n - i)) for i in range(n + 1))
+def _poly_mul(a: dict, b: dict) -> Counter:
+    out = Counter()
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            out[tuple(i + j for i, j in zip(ea, eb))] += ca * cb
+    return out
 
 
 @lru_cache(maxsize=None)
 def universal_witt_polynomials(p: int, l: int, op: str):
     """Coefficient lists for the op in {"add","mul","neg"}: for each output
-    component a list of (int coefficient, x-exponents, y-exponents)."""
+    component a list of (int coefficient, x-exponents, y-exponents), in
+    descending lex order of the exponents.
+
+    Component n solves ghost_n(S) = ghost_n(x) op ghost_n(y), where
+    ghost_n(z) = sum_{i <= n} p^i z_i^(p^(n-i)):
+    S_n = (ghost_n(x) op ghost_n(y) - sum_{i < n} p^i S_i^(p^(n-i))) / p^n,
+    and the division is exact over the integers (Witt's theorem)."""
     if l > MAX_LENGTH:
         raise UnsupportedTower(f"universal polynomials precomputed for l <= {MAX_LENGTH}")
-    xs = sympy.symbols(f"x0:{l}")
-    ys = sympy.symbols(f"y0:{l}")
+
+    def ghost(offset: int, n: int) -> dict:
+        return {tuple(p ** (n - i) if k == offset + i else 0 for k in range(2 * l)): p ** i
+                for i in range(n + 1)}
+
     results = []
     solved = []
     for n in range(l):
         if op == "add":
-            target = _ghost(xs, p, n) + _ghost(ys, p, n)
+            expr = Counter(ghost(0, n))
+            expr.update(ghost(l, n))
         elif op == "mul":
-            target = _ghost(xs, p, n) * _ghost(ys, p, n)
+            expr = _poly_mul(ghost(0, n), ghost(l, n))
         elif op == "neg":
-            target = -_ghost(xs, p, n)
+            expr = Counter({e: -c for e, c in ghost(0, n).items()})
         else:
             raise ValueError(op)
-        expr = target - sum(p ** i * solved[i] ** (p ** (n - i)) for i in range(n))
-        expr = sympy.expand(expr) / p ** n
-        expr = sympy.expand(expr)
-        poly = sympy.Poly(expr, *xs, *ys)
-        terms = []
-        for monom, coeff in poly.terms():
-            q = sympy.Rational(coeff)
-            if q.q != 1:
-                raise RuntimeError("ghost solve produced a non-integer coefficient")
-            terms.append((int(q), tuple(monom[:l]), tuple(monom[l:])))
-        solved.append(expr)
-        results.append(terms)
+        for i in range(n):
+            power = {(0,) * (2 * l): 1}
+            for _ in range(p ** (n - i)):
+                power = _poly_mul(power, solved[i])
+            expr.subtract({e: p ** i * c for e, c in power.items()})
+        solved.append({e: c // p ** n for e, c in expr.items() if c})
+        results.append([(c, e[:l], e[l:]) for e, c in sorted(solved[-1].items(), reverse=True)])
     return tuple(results)
 
 

@@ -2,7 +2,8 @@
 
 These deliberately avoid the production code paths: brute-force enumeration,
 Springer reduction with exhaustive residue searches, ghost components on
-integral polynomial lifts, and sympy factorisation.
+integral polynomial lifts, sympy factorisation and symbolic expansion, and
+exhaustive basis checks straight from the multiplication table.
 """
 
 from __future__ import annotations
@@ -256,6 +257,36 @@ class IntQuot:
         return tuple(c % m for c in self.coeffs)
 
 
+def sympy_witt_polynomials(p: int, l: int, op: str):
+    """The universal Witt polynomials by sympy: expand the ghost recursion
+    symbolically and read off the terms, in the format of
+    skone.wittvec.universal_witt_polynomials."""
+    xs = sympy.symbols(f"x0:{l}")
+    ys = sympy.symbols(f"y0:{l}")
+
+    def ghost_sum(comps, n):
+        return sum(p ** i * comps[i] ** (p ** (n - i)) for i in range(n + 1))
+
+    results = []
+    solved = []
+    for n in range(l):
+        if op == "add":
+            target = ghost_sum(xs, n) + ghost_sum(ys, n)
+        elif op == "mul":
+            target = ghost_sum(xs, n) * ghost_sum(ys, n)
+        else:
+            target = -ghost_sum(xs, n)
+        expr = target - sum(p ** i * solved[i] ** (p ** (n - i)) for i in range(n))
+        expr = sympy.expand(sympy.expand(expr) / p ** n)
+        terms = []
+        for monom, coeff in sympy.Poly(expr, *xs, *ys).terms():
+            assert sympy.Rational(coeff).q == 1, "non-integer coefficient"
+            terms.append((int(coeff), tuple(monom[:l]), tuple(monom[l:])))
+        solved.append(expr)
+        results.append(terms)
+    return tuple(results)
+
+
 def ghost(comps: list[IntQuot], p: int, n: int) -> IntQuot:
     acc = (comps[0] ** (p ** n))
     for i in range(1, n + 1):
@@ -329,4 +360,57 @@ def associativity_defect(table, triples=None):
         right = _times_basis(table, _vector(table[j][k]), i, basis_on_left=True)
         if left != right:
             return f"(e_{i} e_{j}) e_{k} != e_{i} (e_{j} e_{k})"
+    return None
+
+
+# --- involutions and the KMRT v ------------------------------------------------
+
+def _image(images: list, vec: dict) -> dict:
+    """sigma(vec) for the linear map with sigma(e_m) = images[m]."""
+    return _vector((k, c * d) for m, c in vec.items() for k, d in images[m].items())
+
+
+def _product(table, u: dict, v: dict) -> dict:
+    """u * v from the table alone."""
+    return _vector((k, c * d * e) for i, c in u.items() for j, d in v.items()
+                   for k, e in table[i][j])
+
+
+def involution_defect(sigma):
+    """The first failure of sigma as an involution of its algebra.
+
+    From sigma's basis images and the multiplication table alone, checks
+    sigma(1) = 1, sigma(sigma(e_k)) = e_k for every k and
+    sigma(e_i e_j) = sigma(e_j) sigma(e_i) on every basis pair.  Returns a
+    description, or None.
+    """
+    A = sigma.algebra
+    table = A.table
+    images = [_vector(enumerate(im.coords)) for im in sigma.images]
+    if images[0].keys() != {0} or not images[0][0].is_one():
+        return "sigma does not fix 1"
+    for k in range(A.dim):
+        twice = _image(images, images[k])
+        if twice.keys() != {k} or not twice[k].is_one():
+            return f"sigma(sigma(e_{k})) != e_{k}"
+    for i, j in itertools.product(range(A.dim), repeat=2):
+        if _image(images, _vector(table[i][j])) != \
+                _product(table, images[j], images[i]):
+            return f"sigma(e_{i} e_{j}) != sigma(e_{j}) sigma(e_{i})"
+    return None
+
+
+def kmrt_v_defect(sigma, v, w):
+    """The first failure of v as an admissible v for w = -sigma(a) a: v is
+    symmetric, v and Trp(v) - v are units, and v (Trp(v) - v)^{-1} = w,
+    i.e. v = w (Trp(v) - v).  Characteristic != 2.  Returns a description,
+    or None."""
+    A = sigma.algebra
+    if sigma.apply(v) != v:
+        return "v is not in Symd"
+    d = A.one().scale(A.trd(v) * Fraction(1, 2)) - v
+    if A.nrd(v).is_zero() or A.nrd(d).is_zero():
+        return "v or Trp(v) - v is not invertible"
+    if v != w * d:
+        return "v (Trp(v) - v)^{-1} != w"
     return None

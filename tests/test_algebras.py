@@ -1,13 +1,15 @@
 import random
 
 import pytest
-from oracles import associativity_defect
+from oracles import associativity_defect, involution_defect
 
 from skone.algebras import (
     _cyclic_presentation,
+    Involution,
     OpaqueTag,
     canonical_involution,
     commutator,
+    conjugate_involution,
     cyclic_artin_schreier,
     cyclic_kummer,
     is_division_biquaternion,
@@ -153,6 +155,46 @@ def test_involution_types():
     for k in range(A.dim):
         e = A.basis_element(k)
         assert sigma.apply(sigma.apply(e)) == e
+
+
+@pytest.mark.parametrize("field", ["Q", "Qp(5)", "Qp(5)((t1))"])
+def test_constructed_involutions_pass_the_involution_oracle(field):
+    from skone.ktheory import laurent_var_element
+    T = parse_field(field)
+    d = laurent_var_element(T, "t1") if "t1" in field else T.elem(5)
+    A = tensor(symbol_algebra(T, -1, -1, 2), symbol_algebra(T, 2, d, 2))
+    Q1, Q2 = A.tag.left, A.tag.right
+    g1, g2 = canonical_involution(Q1), canonical_involution(Q2)
+    sigma = make_symplectic_involution(A)
+    cases = {
+        "canonical": g1,
+        "conjugate": conjugate_involution(g2, Q2.generator("y")),
+        "tensor": tensor_involution(A, g1, g2),
+        "symplectic": sigma,
+        "symplectic, s = xy": make_symplectic_involution(
+            A, Q2.generator("x") * Q2.generator("y")),
+        "conjugate of the symplectic": conjugate_involution(sigma, A.generator("x1")),
+    }
+    for name, inv in cases.items():
+        assert involution_defect(inv) is None, name
+
+
+def test_involution_oracle_flags_a_non_involution():
+    H = hamilton()
+    identity_map = Involution(H, [H.basis_element(k) for k in range(H.dim)])
+    assert "sigma(e_" in involution_defect(identity_map)
+    doubled = Involution(H, [H.basis_element(k).scale(2) for k in range(H.dim)])
+    assert involution_defect(doubled) == "sigma does not fix 1"
+
+
+def test_conjugate_involution_needs_sigma_s_to_be_plus_minus_s():
+    H = hamilton()
+    g = canonical_involution(H)
+    s = H.one() + H.generator("x")     # g(s) = 1 - x, and Nrd(s) = 2
+    with pytest.raises(InconsistentConstruction):
+        conjugate_involution(g, s)
+    assert conjugate_involution(g, H.one().scale(3)).kind() == "symplectic"
+    assert conjugate_involution(g, H.generator("x")).kind() == "orthogonal"
 
 
 def test_char2_involution_type():

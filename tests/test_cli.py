@@ -109,6 +109,16 @@ def test_form_with_bindings(capsys):
     assert doc["payload"]["i_level"]["level"] == 4
 
 
+def test_form_over_q2_binds_no_u(capsys):
+    code, doc = run_json(capsys, ["form", "--field", "Qp(2)", "diag(1, 1, 1)",
+                                  "--op", "level"])
+    assert code == EXIT_OK
+    assert doc["payload"]["i_level"]["detail"] == "odd dimension"
+    code, doc = run_json(capsys, ["form", "--field", "Qp(2)", "diag(1, u, 1)"])
+    assert code == EXIT_USAGE
+    assert doc["message"] == "unbound name 'u' in element expression"
+
+
 def test_wittvec_command(capsys):
     code, doc = run_json(capsys, ["wittvec", "--p", "2", "--l", "2",
                                   "--op", "add", "--lhs", "1,0", "--rhs", "1,1"])

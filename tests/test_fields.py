@@ -10,7 +10,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from skone.errors import FieldSyntaxError, PrecisionExhausted
+from skone.errors import FieldSyntaxError, InconsistentConstruction, PrecisionExhausted
 from skone.fields import (
     FieldElement,
     FiniteField,
@@ -188,6 +188,17 @@ def test_precision_exhaustion_is_loud():
         _ = (w - w)  # cancels every certified digit
 
 
+def test_padic_precision_is_part_of_the_tower():
+    coarse, fine = PAdicDescriptor(7, 10), PAdicDescriptor(7, 30)
+    assert coarse != fine
+    assert coarse == PAdicDescriptor(7, 10)
+    assert hash(coarse) == hash(PAdicDescriptor(7, 10))
+    with pytest.raises(InconsistentConstruction):
+        _ = coarse.elem(3) + fine.elem(2)
+    with pytest.raises(InconsistentConstruction):
+        _ = fine.elem(3) * coarse.elem(2)
+
+
 def test_root_adjunction_zeta_arithmetic():
     T = parse_field("Q[zeta_4]")
     z = T.zeta()
@@ -309,7 +320,8 @@ def test_factorize_matches_sympy(n):
 
 def test_runtime_modules_do_not_import_sympy():
     src = pathlib.Path(__file__).parents[1] / "src"
-    code = ("import skone.forms, skone.ktheory, skone.invariants, sys; "
+    code = ("import skone.forms, skone.ktheory, skone.invariants, skone.cli, "
+            "skone.wittvec, sys; "
             "assert 'sympy' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": str(src)})

@@ -2,18 +2,20 @@ import random
 
 import pytest
 
-from oracles import nbar_oracle
+from oracles import kmrt_v_defect, nbar_oracle
 from skone.algebras import (
     commutator,
     is_division_biquaternion,
     random_invertible,
     symbol_algebra,
     tensor,
+    trp,
 )
 from skone.errors import InconsistentConstruction, PrecisionExhausted
 from skone.fields import Rationals, parse_field
 from skone.forms import witt_equal_mod_i4
 from skone.invariants import (
+    HyperbolicityReport,
     PlatonovConfig,
     _idempotent_search,
     centre_symbol,
@@ -146,6 +148,53 @@ def test_kmrt_v_and_sigma_independence():
         assert witt_equal_mod_i4(r1.witt, r3.witt)
 
 
+def test_kmrt_computed_v_is_admissible():
+    A, sigma = fixture_biquat()
+    res = kmrt_eval(A, sigma, A.one())           # w = -1
+    assert ("v-solver", "computed",
+            "w = -1: any invertible v in Symd with Trp(v) = 0") in res.certificates
+    assert kmrt_v_defect(sigma, res.v, -A.one()) is None
+    rng = random.Random(23)
+    for _ in range(2):
+        c = commutator(A, random_invertible(A, rng, span=2),
+                       random_invertible(A, rng, span=2))
+        res = kmrt_eval(A, sigma, c)
+        assert res.certificates[1][2] == "closed form v = 1 + w (2 + Trp(w) != 0)"
+        assert kmrt_v_defect(sigma, res.v, -(sigma.apply(c) * c)) is None
+        # the v of one w does not serve another
+        assert kmrt_v_defect(sigma, res.v, -A.one()) is not None
+
+
+def test_kmrt_rejects_an_inadmissible_v_override():
+    A, sigma = fixture_biquat()
+    with pytest.raises(InconsistentConstruction):
+        kmrt_eval(A, sigma, A.one(), v_override=A.one().scale(2))
+
+
+def test_kmrt_square_zero_branch_certifies_hyperbolicity(monkeypatch):
+    # every symplectic involution of the split M_4(Q) is hyperbolic; with
+    # the decision withheld, a = 1 + x (x != 0 in Symd^0, x^2 = 0) has
+    # w = -(1 + 2x), so 2 + Trp(w) = 0 while w != -1
+    import skone.invariants as inv
+    A = tensor(symbol_algebra(Q, 1, 1, 2), symbol_algebra(Q, 1, 1, 2))
+    sigma = make_symplectic_involution(A)
+    x = A.zero()
+    for label in ("y2", "x2*y2", "y1*x2", "x1*y1*x2"):
+        x = x + A.basis_element(A.labels.index(label))
+    assert sigma.symd_contains(x) and trp(sigma, x).is_zero()
+    assert not x.is_zero() and (x * x).is_zero()
+    monkeypatch.setattr(inv, "hyperbolicity_check", lambda sigma, division=None:
+                        HyperbolicityReport(None, "withheld"))
+    res = kmrt_eval(A, sigma, A.one() + x)
+    assert res.witt.is_zero() and res.level.level >= 4
+    assert res.form is None and res.v is None
+    assert res.hyperbolic.hyperbolic is True
+    assert res.hyperbolic.witness == x.scale(-2)
+    claim, provenance, detail = res.certificates[-1]
+    assert (claim, provenance) == ("sigma hyperbolic", "computed")
+    assert detail.startswith("square-zero x = ")
+
+
 def test_kmrt_rejects_non_sl1():
     A, sigma = fixture_biquat()
     x = A.generator("x1") + A.one()   # Nrd = 4 for i^2 = -1 quaternion part
@@ -153,6 +202,15 @@ def test_kmrt_rejects_non_sl1():
         pytest.skip("unexpected SL1 element")
     with pytest.raises(InconsistentConstruction):
         kmrt_eval(A, sigma, x)
+
+
+def test_kmrt_rejects_an_orthogonal_involution():
+    from skone.algebras import canonical_involution, tensor_involution
+    A, _ = fixture_biquat()
+    orth = tensor_involution(A, canonical_involution(A.tag.left),
+                             canonical_involution(A.tag.right))
+    with pytest.raises(InconsistentConstruction):
+        kmrt_eval(A, orth, A.one())
 
 
 def test_centre_value_biquat():

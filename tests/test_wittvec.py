@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import IntQuot, ghost_check
+from oracles import IntQuot, ghost_check, sympy_witt_polynomials
 from skone.algebras import p_algebra, symbol_algebra, tensor
 from skone.fields import FiniteField, Rationals, parse_field
 from skone.wittvec import (
@@ -20,6 +20,7 @@ from skone.wittvec import (
     pi_projection,
     r_coh_list,
     truncate,
+    universal_witt_polynomials,
     witt_zero,
 )
 
@@ -92,6 +93,13 @@ def test_ghost_oracle_random_quadratic_extension(p, l):
         n = -u
         assert ghost_check("neg", lift_of(u, modulus), None,
                            lift_of(n, modulus), p, l)
+
+
+@pytest.mark.parametrize("op", ["add", "mul", "neg"])
+@pytest.mark.parametrize("l", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_universal_polynomials_match_sympy(p, l, op):
+    assert universal_witt_polynomials(p, l, op) == sympy_witt_polynomials(p, l, op)
 
 
 def test_frobenius():
