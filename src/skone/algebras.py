@@ -24,11 +24,16 @@ that relation on s is checked.  The exhaustive check of fixes-1, order 2 and
 sigma(xy) = sigma(y) sigma(x) on all basis pairs is the test oracle
 ``involution_defect``.
 
-Reduced characteristic polynomials are computed exactly in every
-characteristic through the regular representation over the etale subalgebra
-K (a division-free Berkowitz char poly with entries in K whose coefficients
-are then checked to be scalars).  The left-multiplication fallback with
-exact n-th root extraction is kept for untagged presentations.
+Reduced traces and characteristic polynomials come from the reduced trace
+form T(x, y) = Trd(xy), cached per algebra on the basis.  Where the
+characteristic is 0 or exceeds the degree n, Trd(e_k) = Tr(L_{e_k})/n is read
+off the table (the left regular representation is n copies of the reduced
+one) and Prd(x) follows from the power sums Trd(x^k) by Newton's identities.
+Where 0 < char <= n (p-algebras) Prd is computed through the regular
+representation over the etale subalgebra K instead (a division-free
+Berkowitz char poly with entries in K whose coefficients are then checked
+to be scalars); the left-multiplication fallback with exact n-th root
+extraction is kept for untagged presentations there.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from __future__ import annotations
 import math as _math
 import random as _random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import InconsistentConstruction, NonInvertibleElement, UnsupportedTower
 from .fields import FieldElement, FieldTower, primitive_root_of_unity
@@ -189,6 +195,7 @@ class AlgebraPresentation:
         self._cyclic = None          # (K, Lu, Lv, ext_deg, n) regular rep data
         self._monomial_mats = None
         self._trd_basis = None
+        self._trace_form = None
 
     @property
     def table(self):
@@ -290,8 +297,43 @@ class AlgebraPresentation:
         self._monomial_mats = mats
         return K, mats
 
+    def _newton_path(self) -> bool:
+        """Whether Newton's identities compute Prd: they divide by 1, ..., n,
+        so the characteristic must be 0 or exceed the degree n."""
+        p = self.base.characteristic
+        return p == 0 or p > self.degree
+
     def reduced_char_poly(self, x: AlgElement) -> Poly:
-        """Prd of x: monic, degree deg(A), exact over the base tower."""
+        """Prd of x: monic, degree deg(A), exact over the base tower.
+
+        In characteristic 0 or above the degree n it runs Newton's identities
+        on the power sums p_k = Trd(x^k) = T(x^i, x^(k-i)), i, k - i <=
+        ceil(n/2), read off the cached trace form: ceil(n/2) - 1 algebra
+        products (one in degree 4).  Where 0 < char <= n (p-algebras) it is
+        ``_reduced_char_poly_etale``."""
+        x = self.coerce(x)
+        if not self._newton_path():
+            return self._reduced_char_poly_etale(x)
+        n, base = self.degree, self.base
+        pows = [None, x]
+        for _ in range((n + 1) // 2 - 1):
+            pows.append(pows[-1] * x)
+        psum = [None, self.trd(x)] + [self.trace_pairing(pows[k // 2], pows[k - k // 2])
+                                      for k in range(2, n + 1)]
+        # k e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) p_i; Prd = sum (-1)^k e_k X^(n-k)
+        e = [base.one()]
+        for k in range(1, n + 1):
+            acc = base.zero()
+            for i in range(1, k + 1):
+                term = e[k - i] * psum[i]
+                acc = acc + term if i % 2 else acc - term
+            e.append(acc * Fraction(1, k))
+        return Poly(base, [e[n - j] if (n - j) % 2 == 0 else -e[n - j]
+                           for j in range(n + 1)])
+
+    def _reduced_char_poly_etale(self, x: AlgElement) -> Poly:
+        """Prd of x through the regular representation over the etale
+        subalgebra K (Berkowitz over K), in every characteristic."""
         x = self.coerce(x)
         try:
             K, mats = self._cyclic_data()
@@ -323,17 +365,64 @@ class AlgebraPresentation:
                                 self.base.zero(), self.base.one())
         return monic_nth_root(Poly(self.base, cp), self.degree)
 
-    def trd(self, x: AlgElement) -> FieldElement:
-        x = self.coerce(x)
+    def _trd_row(self) -> list[FieldElement]:
+        """Trd(e_k) for every basis vector e_k.
+
+        On the Newton path it is Tr(L_{e_k})/n, read off the table; elsewhere
+        the coefficient of X^(n-1) in the etale Prd(e_k)."""
         if self._trd_basis is None:
-            vals = []
-            for k in range(self.dim):
-                prd = self.reduced_char_poly(self.basis_element(k))
-                vals.append(-prd[self.degree - 1])
-            self._trd_basis = vals
+            n = self.degree
+            if self._newton_path():
+                # Tr(L_{e_k}) sums the e_i-coefficients of e_k e_i
+                row = [sum((c for i, prod in enumerate(prods) for m, c in prod if m == i),
+                           self.base.zero()) * Fraction(1, n) for prods in self.table]
+            else:
+                row = [-self._reduced_char_poly_etale(self.basis_element(k))[n - 1]
+                       for k in range(self.dim)]
+            self._trd_basis = row
+        return self._trd_basis
+
+    def trace_form(self) -> list[list[tuple[int, FieldElement]]]:
+        """T[i] = [(j, Trd(e_i e_j)) for the j where it is nonzero]: the
+        reduced trace form on the basis, cached per algebra."""
+        if self._trace_form is None:
+            row = self._trd_row()
+            zero = self.base.zero()
+            form = []
+            for prods in self.table:
+                entries = []
+                for j, prod in enumerate(prods):
+                    t = zero
+                    for k, c in prod:
+                        if not row[k].is_zero():
+                            t = t + c * row[k]
+                    if not t.is_zero():
+                        entries.append((j, t))
+                form.append(entries)
+            self._trace_form = form
+        return self._trace_form
+
+    def trace_pairing(self, x: AlgElement, y: AlgElement) -> FieldElement:
+        """Trd(xy) from the cached trace form, without forming xy."""
         acc = self.base.zero()
-        for c, t in zip(x.coords, self._trd_basis):
-            acc = acc + c * t
+        ys = y.coords
+        for xi, entries in zip(x.coords, self.trace_form()):
+            if xi.is_zero():
+                continue
+            for j, t in entries:
+                if not ys[j].is_zero():
+                    acc = acc + xi * ys[j] * t
+        return acc
+
+    def trd(self, x: AlgElement) -> FieldElement:
+        """Trd(x) = sum x_k Trd(e_k), from the cached row ``_trd_row``: read
+        off the table in characteristic 0 or above the degree, from the
+        etale Prd of each basis vector where 0 < char <= degree."""
+        x = self.coerce(x)
+        acc = self.base.zero()
+        for c, t in zip(x.coords, self._trd_row()):
+            if not c.is_zero() and not t.is_zero():
+                acc = acc + c * t
         return acc
 
     def nrd(self, x: AlgElement) -> FieldElement:

@@ -938,6 +938,15 @@ def cyclotomic_polynomial(m: int) -> list[Fraction]:
     return poly
 
 
+def _contains_padic(tower: FieldTower) -> bool:
+    """Whether Q_p lies at the bottom of the tower."""
+    while not isinstance(tower, PAdicDescriptor):
+        tower = getattr(tower, "base", None)
+        if tower is None:
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # elements
 # ---------------------------------------------------------------------------
@@ -996,7 +1005,11 @@ class FieldElement:
         return self.tower._eq(self.payload, o.payload)
 
     def __hash__(self):
-        # elements are mostly compared, rarely hashed; a coarse hash is fine
+        # Over Q_p (and towers above it) == compares approximations at their
+        # common precision, so equal elements can print differently: only the
+        # tower is hashed there.  Exact towers hash the canonical string.
+        if _contains_padic(self.tower):
+            return hash(self.tower)
         return hash(str(self))
 
     def is_zero(self) -> bool:

@@ -24,6 +24,7 @@ Laurent towers over these via the residue rule.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -661,8 +662,6 @@ def content_normalized(q: QuadraticForm) -> tuple[QuadraticForm, Fraction]:
     integers with trivial common content.  Global scaling preserves every
     I^n-level decision (for q of even dimension the class changes by
     <<lambda>> x q, which lies one filtration step deeper)."""
-    import math
-
     if q.char2 or not isinstance(effective_tower(q.tower), Rationals):
         return q, Fraction(1)
     vals = [rational_of(d) for d in q.diag]
@@ -723,8 +722,9 @@ def _split_hyperbolic(tower, diag, witness):
 def diagonalize_gram(gram, tower) -> list:
     """Exact symmetric congruence diagonalisation; returns nonzero entries.
 
-    Over Q the working basis is kept as primitive integer vectors (content
-    stripped after every projection), which controls coefficient growth; the
+    Over Q it runs ``_diagonalize_gram_rational``: integer elimination on
+    primitive working vectors, O(n^3).  Over every other tower it runs
+    ``_diagonalize_gram_generic``, plain symmetric Gauss elimination.  The
     congruence is exact, so the quadratic-space class is preserved.
     """
     if isinstance(effective_tower(tower), Rationals):
@@ -775,66 +775,57 @@ def _diagonalize_gram_generic(gram, tower) -> list:
 
 
 def _diagonalize_gram_rational(gram, tower) -> list:
-    import math
+    """Pivot on the working vector of smallest nonzero |q(b, b)|, project
+    the others off it as d b - B(b, p) p and make them primitive integer
+    vectors; with no nonzero q(b, b) left, replace b_i by the primitive part
+    of b_i + b_j for the first pair with B(b_i, b_j) != 0.
 
-    n = len(gram)
+    q is scaled by the common denominator D of its entries, and the integer
+    Gram matrix M of the working vectors under D q is carried along: a
+    projection by the pivot p with d = M_pp, c_i = M_ip and contents g_i
+    gives M'_ij = (d^2 M_ij - d c_i c_j) / (g_i g_j), exactly.  That is
+    O(n^2) per pivot instead of re-evaluating the form on every vector."""
     q = [[rational_of(x) if isinstance(x, FieldElement) else Fraction(x)
           for x in row] for row in gram]
-
-    def bilin(u, v):
-        acc = Fraction(0)
-        for i, ui in enumerate(u):
-            if ui:
-                acc += ui * sum(q[i][j] * vj for j, vj in enumerate(v) if vj)
-        return acc
-
-    def primitive(vec):
-        den = 1
-        for x in vec:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        ints = [int(x * den) for x in vec]
-        content = 0
-        for x in ints:
-            content = math.gcd(content, abs(x))
-        if content > 1:
-            ints = [x // content for x in ints]
-        return [Fraction(x) for x in ints]
-
-    basis = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    D = math.lcm(1, *(x.denominator for row in q for x in row))
+    M = [[x.numerator * (D // x.denominator) for x in row] for row in q]
+    vecs = [[int(i == j) for j in range(len(q))] for i in range(len(q))]
     entries = []
-    active = basis
-    while active:
-        vals = [bilin(b, b) for b in active]
+    while vecs:
+        m = len(vecs)
         piv = None
-        best = None
-        for i, v in enumerate(vals):
-            if v != 0 and (best is None or abs(v) < best):
-                piv, best = i, abs(v)
+        for i in range(m):
+            if M[i][i] and (piv is None or abs(M[i][i]) < abs(M[piv][piv])):
+                piv = i
         if piv is None:
-            mixed = False
-            for i in range(len(active)):
-                for j in range(len(active)):
-                    if i != j and bilin(active[i], active[j]) != 0:
-                        active[i] = primitive([a + b for a, b in
-                                               zip(active[i], active[j])])
-                        mixed = True
-                        break
-                if mixed:
-                    break
-            if not mixed:
+            pair = next(((i, j) for i in range(m) for j in range(m)
+                         if i != j and M[i][j]), None)
+            if pair is None:
                 break  # zero block
+            i, j = pair
+            s = [a + b for a, b in zip(vecs[i], vecs[j])]
+            g = math.gcd(*s)
+            vecs[i] = [x // g for x in s]
+            row = [(a + b) // g for a, b in zip(M[i], M[j])]
+            row[i] = 2 * M[i][j] // (g * g)  # M_ii = M_jj = 0 here
+            for k in range(m):
+                M[i][k] = M[k][i] = row[k]
             continue
-        p = active[piv]
-        d = vals[piv]
-        entries.append(_strip_small_squares(tower.elem(d), tower))
-        rest = []
-        for i, b in enumerate(active):
-            if i == piv:
-                continue
-            c = bilin(b, p)
-            nb = [d * x - c * y for x, y in zip(b, p)]
-            rest.append(primitive(nb))
-        active = rest
+        d = M[piv][piv]
+        entries.append(_strip_small_squares(tower.elem(Fraction(d, D)), tower))
+        keep = [i for i in range(m) if i != piv]
+        p = vecs[piv]
+        c, g, new_vecs = [], [], []
+        for i in keep:
+            ci = M[i][piv]
+            nb = [d * x - ci * y for x, y in zip(vecs[i], p)]
+            gi = math.gcd(*nb) or 1
+            c.append(ci)
+            g.append(gi)
+            new_vecs.append([x // gi for x in nb])
+        M = [[(d * d * M[i][j] - d * c[a] * c[b]) // (g[a] * g[b])
+              for b, j in enumerate(keep)] for a, i in enumerate(keep)]
+        vecs = new_vecs
     return entries
 
 

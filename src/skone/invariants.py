@@ -310,14 +310,17 @@ def hyperbolicity_check(sigma: Involution,
 def _q_sigma(sigma: Involution) -> QuadraticForm:
     """q_sigma(x) = x^2 on Symd(A, sigma)^0, diagonalised; degree 4 symplectic.
 
-    The polar form is b(x, y) = (xy + yx)/2, a scalar on Symd^0."""
+    The polar form b(x, y) = (xy + yx)/2 is a scalar on Symd^0, so it equals
+    Trd(xy + yx)/8 = Trd(xy)/4; its Gram matrix is read off the cached trace
+    form of A (``AlgebraPresentation.trace_pairing``), with no algebra
+    product."""
+    A = sigma.algebra
     basis = _symd0_parts(sigma)
     gram = [[None] * len(basis) for _ in basis]
     for i, x in enumerate(basis):
         for j in range(i, len(basis)):
-            y = basis[j]
-            gram[i][j] = gram[j][i] = (x * y + y * x).coords[0] * Fraction(1, 2)
-    return QuadraticForm(sigma.algebra.base, diagonalize_gram(gram, sigma.algebra.base))
+            gram[i][j] = gram[j][i] = A.trace_pairing(x, basis[j]) * Fraction(1, 4)
+    return QuadraticForm(A.base, diagonalize_gram(gram, A.base))
 
 
 def _symd0_parts(sigma: Involution) -> list[AlgElement]:
@@ -478,15 +481,19 @@ def _verify_v(sigma: Involution, v: AlgElement, w: AlgElement):
 
 
 def _phi_form(sigma: Involution, v: AlgElement) -> QuadraticForm:
-    """Phi_v(x) = Trp(sigma(x) v x) as an exact diagonal form."""
+    """Phi_v(x) = Trp(sigma(x) v x) as an exact diagonal form.
+
+    Its polar Gram matrix is (t + t^T)/4 with t = S L W^T, read off the
+    cached trace form L of A: t_ij = T(sigma(e_i), v e_j) = 2 Trp(sigma(e_i)
+    v e_j), where the rows of S are sigma's stored images and the columns
+    of W are the products v e_j.  That is dim products by a basis vector and
+    no Trp call; 2 is invertible on kmrt_eval's domain."""
     A = sigma.algebra
     base = A.base
-    half = Fraction(1, 2)
-    sig_basis = [sigma.apply(A.basis_element(i)) for i in range(A.dim)]
     w_cols = [v * A.basis_element(j) for j in range(A.dim)]
-    m = [[trp(sigma, sig_basis[i] * w_cols[j]) for j in range(A.dim)]
-         for i in range(A.dim)]
-    gram = [[(m[i][j] + m[j][i]) * half for j in range(A.dim)] for i in range(A.dim)]
+    t = [[A.trace_pairing(s, w) for w in w_cols] for s in sigma.images]
+    quarter = Fraction(1, 4)
+    gram = [[(t[i][j] + t[j][i]) * quarter for j in range(A.dim)] for i in range(A.dim)]
     return QuadraticForm(base, diagonalize_gram(gram, base))
 
 

@@ -9,6 +9,7 @@ exhaustive basis checks straight from the multiplication table.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import sympy
@@ -322,6 +323,75 @@ def nbar_oracle(n: int) -> int:
     for p, e in sympy.factorint(n).items():
         out *= int(p) ** (e - 1)
     return out
+
+
+# --- congruence diagonalisation over Q ---------------------------------------
+
+def diagonalize_gram_oracle(gram, tower) -> list:
+    """The O(n^4) rational diagonalisation that the integer elimination in
+    skone.forms replaced: it re-evaluates the form on every working vector
+    at every pivot, with the same pivot rule (smallest nonzero |q(b, b)|,
+    first on ties), primitive vectors and mixing step."""
+    from skone.fields import FieldElement
+    from skone.forms import _strip_small_squares, rational_of
+
+    n = len(gram)
+    q = [[rational_of(x) if isinstance(x, FieldElement) else Fraction(x)
+          for x in row] for row in gram]
+
+    def bilin(u, v):
+        acc = Fraction(0)
+        for i, ui in enumerate(u):
+            if ui:
+                acc += ui * sum(q[i][j] * vj for j, vj in enumerate(v) if vj)
+        return acc
+
+    def primitive(vec):
+        den = 1
+        for x in vec:
+            den = den * x.denominator // math.gcd(den, x.denominator)
+        ints = [int(x * den) for x in vec]
+        content = 0
+        for x in ints:
+            content = math.gcd(content, abs(x))
+        if content > 1:
+            ints = [x // content for x in ints]
+        return [Fraction(x) for x in ints]
+
+    active = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    entries = []
+    while active:
+        vals = [bilin(b, b) for b in active]
+        piv = None
+        best = None
+        for i, v in enumerate(vals):
+            if v != 0 and (best is None or abs(v) < best):
+                piv, best = i, abs(v)
+        if piv is None:
+            mixed = False
+            for i in range(len(active)):
+                for j in range(len(active)):
+                    if i != j and bilin(active[i], active[j]) != 0:
+                        active[i] = primitive([a + b for a, b in
+                                               zip(active[i], active[j])])
+                        mixed = True
+                        break
+                if mixed:
+                    break
+            if not mixed:
+                break  # zero block
+            continue
+        p = active[piv]
+        d = vals[piv]
+        entries.append(_strip_small_squares(tower.elem(d), tower))
+        rest = []
+        for i, b in enumerate(active):
+            if i == piv:
+                continue
+            c = bilin(b, p)
+            rest.append(primitive([d * x - c * y for x, y in zip(b, p)]))
+        active = rest
+    return entries
 
 
 # --- algebras: unit and associativity from the structure constants -----------

@@ -24,8 +24,8 @@ from skone.algebras import (
     tensor_involution,
     twisted_lift_quaternion,
 )
-from skone.errors import InconsistentConstruction
-from skone.fields import FiniteField, Rationals, parse_field
+from skone.errors import InconsistentConstruction, PrecisionExhausted
+from skone.fields import FiniteField, PAdicDescriptor, Rationals, parse_field
 from skone.linalg import berkowitz_charpoly
 from skone.poly import Poly, monic_nth_root
 
@@ -121,6 +121,92 @@ def test_nrd_multiplicative_trd_linear():
         y = B.element([rng.randint(-2, 2) for _ in range(16)])
         assert B.nrd(x * y) == B.nrd(x) * B.nrd(y)
         assert B.trd(x + y) == B.trd(x) + B.trd(y)
+
+
+def _approx_coords(rng, K, dim, laurent=None):
+    """Sparse coordinates: one to three nonzero entries, about half of them
+    approximate units of K (carried into the Laurent tower if given)."""
+    lift = laurent.elem if laurent is not None else (lambda c: c)
+    coords = [0] * dim
+    for k in rng.sample(range(dim), rng.randint(1, 3)):
+        if rng.random() < 0.5:
+            unit = rng.randrange(1, K.p ** 10)
+            while unit % K.p == 0:
+                unit = rng.randrange(1, K.p ** 10)
+            coords[k] = lift(K.approx(rng.randint(0, 2), unit, 10))
+        else:
+            coords[k] = rng.choice([-2, -1, 1, 2])
+    return coords
+
+
+def _newton_cases():
+    """(label, algebra, elements) on which Newton's Prd is compared."""
+    rng = random.Random(17)
+    B = tensor(hamilton(), symbol_algebra(Q, -1, 3, 2))
+    yield "Q", B, [B.element([rng.randint(-2, 2) for _ in range(16)]) for _ in range(4)]
+    Z3 = parse_field("Q[zeta_3]")
+    C = symbol_algebra(Z3, 2, 5, 3)
+    zeta = C.tag.zeta
+    yield "Q[zeta_3]", C, [C.element([zeta * rng.randint(-2, 2) + rng.randint(-2, 2)
+                                      for _ in range(9)]) for _ in range(3)]
+    for p in (2, 3, 5):
+        K = PAdicDescriptor(p)
+        A = tensor(symbol_algebra(K, -1, p, 2), symbol_algebra(K, 2 if p == 3 else 3, -1, 2))
+        yield f"Qp({p})", A, [A.element(_approx_coords(rng, K, 16)) for _ in range(12)]
+    T = parse_field("Qp(7)((t1))")
+    from skone.ktheory import laurent_var_element
+    t1 = laurent_var_element(T, "t1")
+    L = tensor(symbol_algebra(T, 3, t1, 2), symbol_algebra(T, -1, 5, 2))
+    yield "Qp(7)((t1))", L, [L.element(_approx_coords(rng, T.base, 16, T)) for _ in range(8)]
+    F7 = FiniteField(7)
+    D = tensor(symbol_algebra(F7, 3, 5, 2), symbol_algebra(F7, -1, 3, 2))
+    yield "F(7)", D, [D.element([rng.randint(0, 6) for _ in range(16)]) for _ in range(4)]
+
+
+@pytest.mark.parametrize("label,A,xs", [pytest.param(*case, id=case[0])
+                                         for case in _newton_cases()])
+def test_newton_prd_matches_the_etale_prd(label, A, xs):
+    assert A._newton_path()
+    compared = 0
+    for x in xs:
+        try:
+            oracle = A._reduced_char_poly_etale(x)
+        except PrecisionExhausted:
+            continue
+        # Newton runs wherever the division-free etale path does
+        assert A.reduced_char_poly(x) == oracle, (label, x)
+        compared += 1
+    assert compared >= 2
+
+
+@pytest.mark.parametrize("desc", ["Q", "F(7)", "Qp(5)((t1))"])
+def test_trace_form_is_trd_of_the_product(desc):
+    T = parse_field(desc)
+    A = tensor(symbol_algebra(T, -1, 3, 2), twisted_lift_quaternion(T, 1, 5)) \
+        if T.characteristic == 0 else \
+        tensor(symbol_algebra(T, 3, 5, 2), symbol_algebra(T, -1, 3, 2))
+    # the row read off the table is the old per-basis row of the etale Prd
+    assert A._trd_row() == [-A._reduced_char_poly_etale(A.basis_element(k))[3]
+                            for k in range(A.dim)]
+    rng = random.Random(8)
+    for _ in range(6):
+        x = A.element([rng.randint(-2, 2) for _ in range(16)])
+        y = A.element([rng.randint(-2, 2) for _ in range(16)])
+        assert A.trace_pairing(x, y) == A.trd(x * y)
+
+
+def test_p_algebras_stay_on_the_etale_path():
+    for A in (p_algebra(FiniteField(2), 1, 1), p_algebra(FiniteField(3), 1, 2),
+              tensor(p_algebra(FiniteField(2), 1, 1), p_algebra(FiniteField(2), 0, 1)),
+              tensor(symbol_algebra(FiniteField(3), 2, 2, 2),
+                     symbol_algebra(FiniteField(3), 1, 2, 2))):
+        # Newton's identities would divide by the characteristic
+        assert not A._newton_path()
+        x = A.element([k % A.base.characteristic for k in range(A.dim)])
+        acc, pw = A.zero(), A.one()
+        for c in A.reduced_char_poly(x).coeffs:
+            acc, pw = acc + pw.scale(c), pw * x
+        assert acc.is_zero()
 
 
 def test_albert_examples():

@@ -188,6 +188,22 @@ def test_precision_exhaustion_is_loud():
         _ = (w - w)  # cancels every certified digit
 
 
+def test_equal_padic_approximations_hash_alike():
+    Q7 = PAdicDescriptor(7)
+    coarse, fine = Q7.approx(0, 3, 5), Q7.approx(0, 3 + 2 * 7 ** 5, 8)
+    assert coarse == fine and str(coarse) != str(fine)
+    assert hash(coarse) == hash(fine)
+    exact = Q7.elem(3)
+    assert exact == Q7.approx(0, 3, 6)
+    assert hash(exact) == hash(Q7.approx(0, 3, 6))
+    # the same holds one Laurent level up
+    T = LaurentExt(Q7, "t")
+    assert T.elem(coarse) == T.elem(fine)
+    assert hash(T.elem(coarse)) == hash(T.elem(fine))
+    # exact towers keep the string hash
+    assert hash(Rationals().elem(Fraction(3, 4))) == hash("3/4")
+
+
 def test_padic_precision_is_part_of_the_tower():
     coarse, fine = PAdicDescriptor(7, 10), PAdicDescriptor(7, 30)
     assert coarse != fine

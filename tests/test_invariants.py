@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from oracles import kmrt_v_defect, nbar_oracle
+from fractions import Fraction
+
+from oracles import diagonalize_gram_oracle, kmrt_v_defect, nbar_oracle
 from skone.algebras import (
     commutator,
     is_division_biquaternion,
@@ -18,6 +20,9 @@ from skone.invariants import (
     HyperbolicityReport,
     PlatonovConfig,
     _idempotent_search,
+    _phi_form,
+    _q_sigma,
+    _symd0_parts,
     centre_symbol,
     centre_value_biquat,
     comparison_m_r,
@@ -103,6 +108,31 @@ def test_kmrt_identity_is_zero():
     A, sigma = fixture_biquat()
     res = kmrt_eval(A, sigma, A.one())
     assert res.level.level >= 4
+
+
+@pytest.mark.parametrize("slots", [(-1, -1, -1, 3), (2, 5, -1, -1)])
+def test_phi_and_q_sigma_grams_from_the_trace_form(slots):
+    """Phi_v and q_sigma, whose Gram matrices are read off the trace form and
+    diagonalised over Z, against Gram matrices from algebra products
+    diagonalised by the O(n^4) oracle."""
+    a, b, c, d = slots
+    A = tensor(symbol_algebra(Q, a, b, 2), symbol_algebra(Q, c, d, 2))
+    sigma = make_symplectic_involution(A)
+    half = Fraction(1, 2)
+    parts = _symd0_parts(sigma)
+    q_gram = [[(x * y + y * x).coords[0] * half for y in parts] for x in parts]
+    assert [str(e) for e in _q_sigma(sigma).diag] == \
+        [str(e) for e in diagonalize_gram_oracle(q_gram, Q)]
+    rng = random.Random(41)
+    basis = [A.basis_element(i) for i in range(A.dim)]
+    for _ in range(3):
+        cmt = commutator(A, random_invertible(A, rng, span=2),
+                         random_invertible(A, rng, span=2))
+        v = A.one() - sigma.apply(cmt) * cmt
+        m = [[trp(sigma, sigma.apply(x) * v * y) for y in basis] for x in basis]
+        gram = [[(m[i][j] + m[j][i]) * half for j in range(A.dim)] for i in range(A.dim)]
+        assert [str(e) for e in _phi_form(sigma, v).diag] == \
+            [str(e) for e in diagonalize_gram_oracle(gram, Q)]
 
 
 def test_kmrt_commutators_level4():
