@@ -5,9 +5,11 @@ Runs `perfbench/run.py` of each checkout on the same seeds, parent first on
 even pairs and change first on odd ones, so slow drift of the host's speed
 falls on both sides alike. For every end-to-end metric it records the
 median and quartiles of either side and the wins k/n of the change (the
-pairs where it is better, in the direction BENCHMARK.json gives). With
---traced it adds one traced run per side and copies the named per-layer
-metrics. The result is merged into --out under the workload's name.
+pairs where it is better, in the direction BENCHMARK.json gives), and the
+wall time of each side's runs (`wall_s`: the whole subprocess, set-up and
+untimed checks included). With --traced it adds one traced run per side and
+copies the named per-layer metrics. The result is merged into --out under
+the workload's name.
 
 Usage:
     python3 scripts/bench_pairs.py --parent ../skone-parent --change . \\
@@ -21,14 +23,19 @@ import os
 import statistics
 import subprocess
 import sys
+import time
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: int, trace: int) -> dict:
+def run_once(checkout: str, workload: str, seed: int, seconds: int,
+             trace: int) -> tuple[dict, float]:
+    """The run's metrics and its wall time in seconds."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    t0 = time.perf_counter()
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    wall = time.perf_counter() - t0
     res = json.loads(out.stdout.strip().splitlines()[-1])
-    return {k: v["value"] for k, v in res["metrics"].items()}
+    return {k: v["value"] for k, v in res["metrics"].items()}, wall
 
 
 def summary(values: list[float]) -> dict:
@@ -53,13 +60,16 @@ def main():
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
     runs = {"parent": [], "change": []}
+    walls = {"parent": [], "change": []}
     for i in range(args.pairs):
         seed = args.first_seed + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(run_once(sides[side], args.workload, seed, args.seconds, 0))
+            metrics, wall = run_once(sides[side], args.workload, seed, args.seconds, 0)
+            runs[side].append(metrics)
+            walls[side].append(wall)
             print(f"pair {i} seed {seed} {side}: ops_per_s "
-                  f"{runs[side][-1]['ops_per_s']:.3f}", flush=True)
+                  f"{metrics['ops_per_s']:.3f} wall_s {wall:.1f}", flush=True)
 
     end_to_end = {}
     for name, direction in better.items():
@@ -69,9 +79,10 @@ def main():
         end_to_end[name] = {"better": direction, "parent": summary(par),
                             "change": summary(chg), "wins": f"{wins}/{len(par)}"}
     entry = {"pairs": args.pairs, "seeds": [args.first_seed, args.first_seed + args.pairs - 1],
-             "seconds": args.seconds, "end_to_end": end_to_end}
+             "seconds": args.seconds, "end_to_end": end_to_end,
+             "wall_s": {side: summary(walls[side]) for side in sides}}
     if args.traced:
-        traced = {side: run_once(path, args.workload, args.first_seed, args.seconds, 1)
+        traced = {side: run_once(path, args.workload, args.first_seed, args.seconds, 1)[0]
                   for side, path in sides.items()}
         entry["traced"] = {name: {side: traced[side].get(name) for side in sides}
                            for name in args.traced}

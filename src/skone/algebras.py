@@ -32,8 +32,9 @@ one) and Prd(x) follows from the power sums Trd(x^k) by Newton's identities.
 Where 0 < char <= n (p-algebras) Prd is computed through the regular
 representation over the etale subalgebra K instead (a division-free
 Berkowitz char poly with entries in K whose coefficients are then checked
-to be scalars); the left-multiplication fallback with exact n-th root
-extraction is kept for untagged presentations there.
+to be scalars).  Every presentation is a cyclic one or a tensor product of
+them, so every presentation has that K.  The inverse evaluates
+Cayley-Hamilton on the powers of x that Newton's identities read.
 """
 
 from __future__ import annotations
@@ -46,8 +47,7 @@ from fractions import Fraction
 from .errors import InconsistentConstruction, NonInvertibleElement, UnsupportedTower
 from .fields import FieldElement, FieldTower, primitive_root_of_unity
 from .linalg import berkowitz_charpoly, identity, mat_mul, rref, solve
-from .poly import (Poly, QuotElt, QuotientRing, monic_nth_root, monic_sqrt_char2, power,
-                   scalar_of)
+from .poly import Poly, QuotElt, QuotientRing, monic_sqrt_char2, power, scalar_of
 
 
 # ---------------------------------------------------------------------------
@@ -88,11 +88,6 @@ class TwistedLiftTag:
 class TensorTag:
     left: "AlgebraPresentation"
     right: "AlgebraPresentation"
-
-
-@dataclass(frozen=True)
-class OpaqueTag:
-    note: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -250,49 +245,37 @@ class AlgebraPresentation:
         exhaustive check is ``associativity_defect`` in tests/oracles.py.
         """
 
-    # --- left regular representation over the base ------------------------
-    def left_mult_matrix(self, x: AlgElement):
-        cols = [(x * self.basis_element(j)).coords for j in range(self.dim)]
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
-
     # --- reduced characteristic polynomial ---------------------------------
     def _cyclic_data(self):
-        """(K, monomial matrices) for cyclic-family and tensor presentations."""
+        """(K, monomial matrices): the regular representation over the etale
+        subalgebra K, with the matrix of every basis vector.
+
+        A cyclic presentation has the data of its constructor.  A tensor
+        product L (x) R takes K = K_L (x) K_R, R's chain of quotient rings
+        rebuilt over K_L, and Kronecker products of the factors' matrices."""
         if self._monomial_mats is not None:
             return self._K, self._monomial_mats
+        mats = {}
         if isinstance(self.tag, TensorTag):
             lK, lmats = self.tag.left._cyclic_data()
             rK, rmats = self.tag.right._cyclic_data()
-            K = QuotientRing(lK, [lK.coerce(c) for c in self.tag.right._ext_modulus])
-            # re-express right-factor matrices over the combined ring
-            def lift_left(m):
-                return [[_lift_quot(K, e, via_left=True) for e in row] for row in m]
-
-            def lift_right(m):
-                return [[_lift_quot(K, e, via_left=False) for e in row] for row in m]
-            mats = {}
-            for (i1, m1) in lmats.items():
-                L1 = lift_left(m1)
-                for (i2, m2) in rmats.items():
-                    mats[i1 * self.tag.right.dim + i2] = _kron(L1, lift_right(m2), K)
-            self._K = K
-            self._monomial_mats = mats
-            return K, mats
-        if self._cyclic is None:
-            raise UnsupportedTower(
-                "no etale splitting data for this presentation; use the "
-                "left-multiplication fallback")
-        K, Lu, Lv, ext_deg, n = self._cyclic
-        mats = {}
-        pu = identity(K, n)
-        for r in range(ext_deg):
-            pv = pu
-            for s in range(n):
-                mats[r * n + s] = pv
-                if s < n - 1:
-                    pv = mat_mul(pv, Lv, K.zero())
-            if r < ext_deg - 1:
-                pu = mat_mul(pu, Lu, K.zero())
+            K, embed = _rebase(rK, lK)
+            rmats = {i2: [[embed(e) for e in row] for row in m2] for i2, m2 in rmats.items()}
+            for i1, m1 in lmats.items():
+                L1 = [[K.coerce(e) for e in row] for row in m1]
+                for i2, m2 in rmats.items():
+                    mats[i1 * self.tag.right.dim + i2] = _kron(L1, m2, K)
+        else:
+            K, Lu, Lv, ext_deg, n = self._cyclic
+            pu = identity(K, n)
+            for r in range(ext_deg):
+                pv = pu
+                for s in range(n):
+                    mats[r * n + s] = pv
+                    if s < n - 1:
+                        pv = mat_mul(pv, Lv, K.zero())
+                if r < ext_deg - 1:
+                    pu = mat_mul(pu, Lu, K.zero())
         self._K = K
         self._monomial_mats = mats
         return K, mats
@@ -303,21 +286,26 @@ class AlgebraPresentation:
         p = self.base.characteristic
         return p == 0 or p > self.degree
 
-    def reduced_char_poly(self, x: AlgElement) -> Poly:
-        """Prd of x: monic, degree deg(A), exact over the base tower.
-
-        In characteristic 0 or above the degree n it runs Newton's identities
-        on the power sums p_k = Trd(x^k) = T(x^i, x^(k-i)), i, k - i <=
-        ceil(n/2), read off the cached trace form: ceil(n/2) - 1 algebra
-        products (one in degree 4).  Where 0 < char <= n (p-algebras) it is
-        ``_reduced_char_poly_etale``."""
-        x = self.coerce(x)
-        if not self._newton_path():
-            return self._reduced_char_poly_etale(x)
-        n, base = self.degree, self.base
-        pows = [None, x]
-        for _ in range((n + 1) // 2 - 1):
+    def _powers(self, x: AlgElement) -> list[AlgElement]:
+        """1, x, ..., x^h, h = ceil(n/2): h - 1 algebra products."""
+        pows = [self.one(), x]
+        for _ in range((self.degree + 1) // 2 - 1):
             pows.append(pows[-1] * x)
+        return pows
+
+    def _prd_and_powers(self, x: AlgElement) -> tuple[Poly, list[AlgElement] | None]:
+        """Prd(x), and the powers ``_powers(x)`` where Prd read them.
+
+        In characteristic 0 or above the degree n, Prd comes from Newton's
+        identities on the power sums p_k = Trd(x^k) = T(x^i, x^(k-i)), i,
+        k - i <= h, read off the cached trace form: h - 1 algebra products
+        (one in degree 4).  Where 0 < char <= n (p-algebras) it is
+        ``_reduced_char_poly_etale``, which reads no powers: None stands in
+        for them."""
+        if not self._newton_path():
+            return self._reduced_char_poly_etale(x), None
+        n, base = self.degree, self.base
+        pows = self._powers(x)
         psum = [None, self.trd(x)] + [self.trace_pairing(pows[k // 2], pows[k - k // 2])
                                       for k in range(2, n + 1)]
         # k e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) p_i; Prd = sum (-1)^k e_k X^(n-k)
@@ -329,16 +317,18 @@ class AlgebraPresentation:
                 acc = acc + term if i % 2 else acc - term
             e.append(acc * Fraction(1, k))
         return Poly(base, [e[n - j] if (n - j) % 2 == 0 else -e[n - j]
-                           for j in range(n + 1)])
+                           for j in range(n + 1)]), pows
+
+    def reduced_char_poly(self, x: AlgElement) -> Poly:
+        """Prd of x: monic, degree deg(A), exact over the base tower, by
+        Newton's identities or the etale path (``_prd_and_powers``)."""
+        return self._prd_and_powers(self.coerce(x))[0]
 
     def _reduced_char_poly_etale(self, x: AlgElement) -> Poly:
         """Prd of x through the regular representation over the etale
         subalgebra K (Berkowitz over K), in every characteristic."""
         x = self.coerce(x)
-        try:
-            K, mats = self._cyclic_data()
-        except UnsupportedTower:
-            return self._reduced_char_poly_fallback(x)
+        K, mats = self._cyclic_data()
         size = len(next(iter(mats.values())))
         lam = [[K.zero() for _ in range(size)] for _ in range(size)]
         for idx, c in enumerate(x.coords):
@@ -359,11 +349,6 @@ class AlgebraPresentation:
                     "char poly coefficient not scalar; presentation is not Azumaya")
             out.append(s)
         return Poly(self.base, out)
-
-    def _reduced_char_poly_fallback(self, x: AlgElement) -> Poly:
-        cp = berkowitz_charpoly(self.left_mult_matrix(x),
-                                self.base.zero(), self.base.one())
-        return monic_nth_root(Poly(self.base, cp), self.degree)
 
     def _trd_row(self) -> list[FieldElement]:
         """Trd(e_k) for every basis vector e_k.
@@ -431,31 +416,41 @@ class AlgebraPresentation:
         return prd[0] * self.base.elem(sign)
 
     def inverse(self, x: AlgElement) -> AlgElement:
-        """x^{-1} from Cayley-Hamilton on Prd; error if Nrd(x) = 0."""
+        """x^{-1} from Cayley-Hamilton on Prd; error if Nrd(x) = 0.
+
+        x^{-1} = -(c_1 + c_2 x + ... + c_n x^(n-1)) / c_0, c_n = 1, on the
+        powers 1, ..., x^h that Prd was read from (n <= 2h; formed here on
+        the etale path): the terms past x^h are
+        (c_(h+2) x + ... + c_n x^(n-1-h)) x^h, one algebra product."""
         x = self.coerce(x)
-        prd = self.reduced_char_poly(x)
+        prd, pows = self._prd_and_powers(x)
         c0 = prd[0]
         if c0.is_zero():
             raise NonInvertibleElement("reduced norm is zero")
-        acc = self.zero()
-        pw = self.one()
-        # x * (x^{n-1} + c_{n-1} x^{n-2} + ... + c_1) = -c_0
-        for i in range(1, self.degree + 1):
-            coeff = prd[i]  # c_n = 1 included
-            if not coeff.is_zero():
-                acc = acc + pw.scale(coeff)
-            if i < self.degree:
-                pw = pw * x
+        if pows is None:
+            pows = self._powers(x)
+
+        def combine(coeffs, powers):
+            acc = self.zero()
+            for c, pw in zip(coeffs, powers):
+                if not c.is_zero():
+                    acc = acc + pw.scale(c)
+            return acc
+        h = len(pows) - 1
+        acc = combine(prd.coeffs[1:h + 2], pows)
+        if self.degree > h + 1:
+            acc = acc + combine(prd.coeffs[h + 2:], pows[1:]) * pows[h]
         return acc.scale(-c0.inverse())
 
 
-def _lift_quot(K: QuotientRing, e, via_left: bool):
-    """Embed an element of K_left (via_left) or K_right into K = K_left[T]/(f_r)."""
-    if via_left:
-        return K.coerce(e)
-    # e is a QuotElt over the base tower with vector of tower elements
-    vec = [K.base.coerce(c) for c in e.vec]
-    return QuotElt(K, vec + [K.coeff_zero] * (K.deg - len(vec)))
+def _rebase(R, B):
+    """R, a chain of QuotientRings over the base tower, rebuilt with B in
+    place of the base tower; returns the new ring and the embedding of R."""
+    if not isinstance(R, QuotientRing):
+        return B, B.coerce
+    inner, embed = _rebase(R.base, B)
+    ring = QuotientRing(inner, [embed(c) for c in R.modulus])
+    return ring, lambda e: QuotElt(ring, [embed(c) for c in e.vec])
 
 
 def _kron(a, b, K: QuotientRing):
@@ -575,7 +570,6 @@ def _cyclic_presentation(base: FieldTower, ext_modulus, sigma_u, n: int,
         Lv[j + 1][j] = K.one()
     Lv[0][n - 1] = K.coerce(b)
     alg._cyclic = (K, Lu, Lv, ext_deg, n)
-    alg._ext_modulus = list(ext_modulus)
     return alg
 
 
@@ -936,20 +930,16 @@ def is_sl1(A: AlgebraPresentation, x: AlgElement) -> bool:
 
 
 def commutator(A: AlgebraPresentation, x: AlgElement, y: AlgElement) -> AlgElement:
-    """x y x^{-1} y^{-1}; always lies in SL1."""
-    return x * y * A.inverse(x) * A.inverse(y)
+    """x y x^{-1} y^{-1}, formed as (x y)(y x)^{-1} with one inverse; always
+    lies in SL1."""
+    return (x * y) * A.inverse(y * x)
 
 
 def sl1_sample(A: AlgebraPresentation, rng: _random.Random, span: int = 3,
                tries: int = 200) -> AlgElement:
     """A random commutator of two random invertible elements."""
-    for _ in range(tries):
-        x = A.element([rng.randint(-span, span) for _ in range(A.dim)])
-        y = A.element([rng.randint(-span, span) for _ in range(A.dim)])
-        if A.nrd(x).is_zero() or A.nrd(y).is_zero():
-            continue
-        return commutator(A, x, y)
-    raise RuntimeError("could not sample invertible elements")
+    return commutator(A, random_invertible(A, rng, span, tries),
+                      random_invertible(A, rng, span, tries))
 
 
 def random_invertible(A: AlgebraPresentation, rng: _random.Random,

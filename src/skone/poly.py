@@ -238,33 +238,6 @@ class Poly:
         return " + ".join(bits)
 
 
-def monic_nth_root(p: Poly, n: int) -> Poly:
-    """Exact n-th root of a monic perfect n-th power; needs char coprime to n."""
-    if not p.is_monic():
-        raise ValueError("monic_nth_root expects a monic polynomial")
-    if p.degree % n != 0:
-        raise ValueError("degree not divisible by n")
-    char = p.tower.characteristic
-    if char != 0 and n % char == 0:
-        raise UnsupportedTower(
-            "n-th root extraction divides by n; not available when char | n")
-    m = p.degree // n
-    tower = p.tower
-    ninv = tower.elem(1) / tower.elem(n)
-    q = Poly(tower, [tower.zero()] * m + [tower.one()])
-    for j in range(m - 1, -1, -1):
-        # coefficient of X^(j + (n-1)m) in q^n is n*q_j + (known terms)
-        t = q ** n
-        idx = j + (n - 1) * m
-        delta = (p[idx] - t[idx]) * ninv
-        coeffs = q.coeffs[:]
-        coeffs[j] = coeffs[j] + delta
-        q = Poly(tower, coeffs)
-    if q ** n == p:
-        return q
-    raise ValueError("polynomial is not a perfect n-th power")
-
-
 def monic_sqrt_char2(p: Poly) -> Poly:
     """Square root of a monic perfect square over a perfect field of char 2."""
     tower = p.tower

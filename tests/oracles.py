@@ -4,6 +4,9 @@ These deliberately avoid the production code paths: brute-force enumeration,
 Springer reduction with exhaustive residue searches, ghost components on
 integral polynomial lifts, sympy factorisation and symbolic expansion, and
 exhaustive basis checks straight from the multiplication table.
+
+sympy is imported inside the three functions that use it, so importing this
+module stays cheap: perfbench/refs.py imports it in every benchmark set-up.
 """
 
 from __future__ import annotations
@@ -11,8 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-
-import sympy
 
 
 # --- quadratic forms ---------------------------------------------------------
@@ -161,6 +162,7 @@ def local_invariants(diag: list[int], places=()) -> dict:
     """Dimension, signature, squarefree signed discriminant and the Hasse
     invariants prod_{i<j} (a_i, a_j)_v of <diag> over Q, at infinity, at
     every prime dividing 2 * prod(diag) and at the given extra places."""
+    import sympy
     n = len(diag)
     disc = (-1) ** (n * (n - 1) // 2)
     for d in diag:
@@ -262,6 +264,7 @@ def sympy_witt_polynomials(p: int, l: int, op: str):
     """The universal Witt polynomials by sympy: expand the ghost recursion
     symbolically and read off the terms, in the format of
     skone.wittvec.universal_witt_polynomials."""
+    import sympy
     xs = sympy.symbols(f"x0:{l}")
     ys = sympy.symbols(f"y0:{l}")
 
@@ -319,6 +322,7 @@ def ghost_check(op: str, u_lift, v_lift, res_lift, p: int, l: int) -> bool:
 # --- factorisation (for kahn_bound comparison) --------------------------------
 
 def nbar_oracle(n: int) -> int:
+    import sympy
     out = 1
     for p, e in sympy.factorint(n).items():
         out *= int(p) ** (e - 1)
@@ -408,6 +412,12 @@ def _times_basis(table, vec: dict, k: int, basis_on_left: bool) -> dict:
     """e_k * vec if basis_on_left, else vec * e_k, from table alone."""
     return _vector((l, c * d) for m, c in vec.items()
                    for l, d in (table[k][m] if basis_on_left else table[m][k]))
+
+
+def left_mult_matrix(A, x):
+    """The matrix of y -> x y on A's basis, over the base tower."""
+    cols = [(x * A.basis_element(j)).coords for j in range(A.dim)]
+    return [[cols[j][i] for j in range(A.dim)] for i in range(A.dim)]
 
 
 def associativity_defect(table, triples=None):

@@ -1,12 +1,11 @@
 import random
 
 import pytest
-from oracles import associativity_defect, involution_defect
+from oracles import associativity_defect, involution_defect, left_mult_matrix
 
 from skone.algebras import (
     _cyclic_presentation,
     Involution,
-    OpaqueTag,
     canonical_involution,
     commutator,
     conjugate_involution,
@@ -27,7 +26,7 @@ from skone.algebras import (
 from skone.errors import InconsistentConstruction, PrecisionExhausted
 from skone.fields import FiniteField, PAdicDescriptor, Rationals, parse_field
 from skone.linalg import berkowitz_charpoly
-from skone.poly import Poly, monic_nth_root
+from skone.poly import Poly
 
 Q = Rationals()
 
@@ -90,7 +89,7 @@ def test_prd_matches_left_multiplication():
     for _ in range(5):
         x = B.element([rng.randint(-2, 2) for _ in range(16)])
         prd = B.reduced_char_poly(x)
-        lcp = Poly(Q, berkowitz_charpoly(B.left_mult_matrix(x), Q.zero(), Q.one()))
+        lcp = Poly(Q, berkowitz_charpoly(left_mult_matrix(B, x), Q.zero(), Q.one()))
         assert prd ** B.degree == lcp
         # Cayley-Hamilton for the reduced polynomial
         acc = B.zero()
@@ -195,6 +194,13 @@ def test_trace_form_is_trd_of_the_product(desc):
         assert A.trace_pairing(x, y) == A.trd(x * y)
 
 
+def _annihilates(A, prd, x) -> bool:
+    acc, pw = A.zero(), A.one()
+    for c in prd.coeffs:
+        acc, pw = acc + pw.scale(c), pw * x
+    return acc.is_zero()
+
+
 def test_p_algebras_stay_on_the_etale_path():
     for A in (p_algebra(FiniteField(2), 1, 1), p_algebra(FiniteField(3), 1, 2),
               tensor(p_algebra(FiniteField(2), 1, 1), p_algebra(FiniteField(2), 0, 1)),
@@ -203,10 +209,54 @@ def test_p_algebras_stay_on_the_etale_path():
         # Newton's identities would divide by the characteristic
         assert not A._newton_path()
         x = A.element([k % A.base.characteristic for k in range(A.dim)])
-        acc, pw = A.zero(), A.one()
-        for c in A.reduced_char_poly(x).coeffs:
-            acc, pw = acc + pw.scale(c), pw * x
-        assert acc.is_zero()
+        assert _annihilates(A, A.reduced_char_poly(x), x)
+
+
+def test_right_nested_tensor_matches_left_nested():
+    F2 = FiniteField(2)
+    right = tensor(p_algebra(F2, 1, 1), tensor(p_algebra(F2, 1, 1), p_algebra(F2, 0, 1)))
+    left = tensor(tensor(p_algebra(F2, 1, 1), p_algebra(F2, 1, 1)), p_algebra(F2, 0, 1))
+    rng = random.Random(12)
+    for nonzero in (2, 3, 4):
+        # both orders put e_i (x) e_j (x) e_k at index 16 i + 4 j + k
+        coords = [0] * 64
+        for k in rng.sample(range(64), nonzero):
+            coords[k] = 1
+        x = right.element(coords)
+        prd = right.reduced_char_poly(x)
+        assert prd == left.reduced_char_poly(left.element(coords))
+        assert _annihilates(right, prd, x)
+
+
+def _inverse_cases():
+    """(label, algebra, span) on which inverse and commutator are checked."""
+    Z3 = parse_field("Q[zeta_3]")
+    T = parse_field("Qp(5)((t1))")
+    from skone.ktheory import laurent_var_element
+    t1 = laurent_var_element(T, "t1")
+    F2, F3, F7 = FiniteField(2), FiniteField(3), FiniteField(7)
+    yield "Q (-1,-1)(x)(-1,3)", tensor(hamilton(), symbol_algebra(Q, -1, 3, 2))
+    yield "Q (2,5)(x)(-1,-1)", tensor(symbol_algebra(Q, 2, 5, 2), hamilton())
+    yield "Q[zeta_3] degree 3", symbol_algebra(Z3, 2, 5, 3)
+    yield "Qp(5)((t1))", tensor(symbol_algebra(T, 2, t1, 2), symbol_algebra(T, -1, 5, 2))
+    yield "F(7)", tensor(symbol_algebra(F7, 3, 5, 2), symbol_algebra(F7, -1, 3, 2))
+    yield "p-algebra F(2)", p_algebra(F2, 1, 1)
+    yield "p-algebra F(3)", p_algebra(F3, 1, 2)
+    yield "p-algebras F(2) degree 4", tensor(p_algebra(F2, 1, 1), p_algebra(F2, 0, 1))
+
+
+@pytest.mark.parametrize("label,A", [pytest.param(*case, id=case[0])
+                                     for case in _inverse_cases()])
+def test_inverse_and_commutator(label, A):
+    rng = random.Random(31)
+    x, y = random_invertible(A, rng, span=2), random_invertible(A, rng, span=2)
+    xinv, yinv = A.inverse(x), A.inverse(y)
+    for z, zinv in ((x, xinv), (y, yinv)):
+        assert zinv * z == A.one() and z * zinv == A.one(), label
+    c = commutator(A, x, y)
+    # the definition, with two inverses, is the oracle
+    assert c == x * y * xinv * yinv, label
+    assert A.nrd(c).is_one(), label
 
 
 def test_albert_examples():
@@ -457,7 +507,7 @@ def test_sigma_not_a_ring_map_is_rejected():
     # (1 - u)^2 = 3 - 2u != 2, so sigma is not a ring endomorphism of K
     with pytest.raises(InconsistentConstruction):
         _cyclic_presentation(Q, [Q.elem(-2), Q.zero()], [Q.one(), -Q.one()],
-                             2, Q.elem(3), OpaqueTag())
+                             2, Q.elem(3), tag=None)
 
 
 def test_sigma_of_wrong_order_is_rejected():
@@ -465,7 +515,7 @@ def test_sigma_of_wrong_order_is_rejected():
     # so sigma^3 != id
     with pytest.raises(InconsistentConstruction):
         _cyclic_presentation(Q, [Q.elem(-2), Q.zero()], [Q.zero(), -Q.one()],
-                             3, Q.elem(3), OpaqueTag())
+                             3, Q.elem(3), tag=None)
 
 
 def test_degree7_symbol_relations():

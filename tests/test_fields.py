@@ -341,3 +341,10 @@ def test_runtime_modules_do_not_import_sympy():
             "assert 'sympy' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": str(src)})
+
+
+def test_importing_the_oracles_does_not_import_sympy():
+    tests = pathlib.Path(__file__).parent
+    code = "import oracles, sys; assert 'sympy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": f"{tests.parent / 'src'}{os.pathsep}{tests}"})

@@ -13,7 +13,7 @@ from skone.linalg import (
     rref,
     solve,
 )
-from skone.poly import Poly, QuotientRing, monic_nth_root, scalar_of
+from skone.poly import Poly, QuotientRing, scalar_of
 
 Q = Rationals()
 
@@ -74,14 +74,6 @@ def test_poly_arithmetic():
     assert quo * q + rem == p
     assert p.gcd(p * q) == p.monic()
     assert str(p.eval(Q.elem(2))) == "11"
-
-
-def test_monic_nth_root():
-    p = Poly(Q, [3, 2, 1])
-    assert monic_nth_root(p ** 3, 3) == p
-    assert monic_nth_root(p ** 2, 2) == p
-    with pytest.raises(ValueError):
-        monic_nth_root(Poly(Q, [1, 1, 1]) * Poly(Q, [2, 1]), 2)
 
 
 def test_quotient_ring_nesting():
