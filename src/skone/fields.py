@@ -1105,7 +1105,11 @@ class PowerResult:
 
 
 def is_nth_power(x: FieldElement, n: int) -> PowerResult:
-    """Decide whether x is an n-th power in its tower, with witness where representable."""
+    """Decide whether x is an n-th power in its tower, with witness where representable.
+
+    Over k((t)) with char k not dividing n, x = t^v u (1 + w) is an n-th
+    power iff n | v and u is one in k (Hensel): a monomial gets its exact
+    root as witness, any other series witness None."""
     if n < 1:
         raise ValueError("n must be positive")
     if x.is_zero():
@@ -1250,24 +1254,12 @@ def _laurent_nth_power(x: FieldElement, n: int) -> PowerResult:
     base_res = is_nth_power(split.unit, n)
     if not base_res.is_power:
         return PowerResult(False, None, f"leading unit: {base_res.certificate}")
-    if base_res.witness is None:
-        return PowerResult(True, None, "leading unit is a power (no witness lift)")
-    if len(x.payload[0]) == 1:
-        # monomial: exact witness, no series iteration needed
+    if len(x.payload[0]) == 1 and base_res.witness is not None:
         return PowerResult(True,
                            L.monomial(split.valuation // n, base_res.witness),
                            "monomial root")
-    # Newton-iterate y^n = x starting from witness * t^(v/n)
-    y = L.monomial(split.valuation // n, 1) * L.elem(base_res.witness)
-    ninv = L.elem(Fraction(1, n)) if L.characteristic == 0 else \
-        L.elem(pow(n % L.characteristic, -1, L.characteristic))
-    for _ in range(DEFAULT_LAURENT_TERMS.bit_length() + 1):
-        y = y - (y ** n - x) * ninv * (y ** (n - 1)).inverse()
-    terms, order = y.payload
-    cap = (min(terms) if terms else 0) + DEFAULT_LAURENT_TERMS
-    order = cap if order is None else min(order, cap)
-    y = L.from_terms(terms, order)
-    return PowerResult(True, y, "Hensel/Newton series lift")
+    # 1 + w with w in t k[[t]] is an n-th power when char k does not divide n
+    return PowerResult(True, None, "Hensel: n | v, leading unit a power")
 
 
 class LaurentSplit:

@@ -31,7 +31,6 @@ from .fields import (
     LaurentExt,
     PAdicDescriptor,
     _is_prime,
-    _residue_of_exact_order,
     factorize,
     is_nth_power,
     primitive_root_of_unity,
@@ -54,6 +53,7 @@ from .ktheory import (
     RelativeGroup,
     kclass_is_zero,
     symbol,
+    top_coordinate,
 )
 from .linalg import nullspace
 
@@ -171,11 +171,7 @@ class PlatonovConfig:
 
     def kummer_coordinates(self, x: FieldElement) -> tuple[int, int]:
         """Class of x in k^x/(k^x)^n as (valuation mod n, unit dlog mod n)."""
-        K = effective_tower(self.base)
-        v, u, _ = K.val_unit(x.payload)
-        from .ktheory import _dlog_mod_p
-        g = _residue_of_exact_order(self.p, self.p - 1)
-        return v % self.n, _dlog_mod_p(u % self.p, g, self.p) % self.n
+        return top_coordinate(symbol(self.base, [x], self.n)).value
 
     def class_order(self, x: FieldElement) -> int:
         cv, cu = self.kummer_coordinates(x)

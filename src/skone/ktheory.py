@@ -10,6 +10,22 @@ Conventions (also attached to every CLI report):
   * tame Hilbert pairing values are discrete logs with respect to the
     canonical residue of the chosen primitive m-th root of unity.
 
+One evaluator, `_evaluate_base_class`, reads a class over the residue base
+F_q or Q_p; `kclass_is_zero` (every coordinate zero), `coh_coordinates` (all
+2^s iterated residue / unit-reduction leaves of an s-fold Laurent tower),
+`top_coordinate` (the residue along every variable) and the Kummer
+coordinates of a Platonov configuration all end in it.  Its rules, m the
+modulus:
+  * degree 0: the coefficient sum mod m, over any field;
+  * F_q: degree 1 is the discrete log mod gcd(m, q-1); degree >= 2 is 0;
+  * Q_p: degree >= 3 is 0 for every m (cd(Q_p) = 2); degree 2 is the
+    Hilbert pairing (m | p-1 or m = 2); degree 1 is (v mod m, unit dlog
+    mod gcd(m, p-1)) for p not dividing m, and the square class
+    (v, eps, omega) mod 2 for p = m = 2; any other m divisible by p is
+    undecided;
+  * a Laurent tower whose characteristic divides m is undecided (one check
+    covers every layer, since all share the characteristic of the base).
+
 Equality with the value "zero" is only ever asserted when the decision
 procedure certifies it; otherwise Undecided is raised.
 """
@@ -37,7 +53,7 @@ from .fields import (
     is_nth_power,
     laurent_split,
 )
-from .forms import _hilbert, _is_local_square, _padic_val_unit, _product, effective_tower
+from .forms import _hilbert, _padic_val_unit, effective_tower
 
 RESIDUE_CONVENTION = "residue: uniformizer-first, second-projection normalisation"
 
@@ -98,14 +114,6 @@ def symbol(tower: FieldTower, entries, modulus: int) -> KClass:
             raise InconsistentConstruction("symbol slots must be nonzero")
         slots.append(e)
     return KClass(tower, len(slots), modulus, [(1, tuple(slots))])
-
-
-def k_add(c1: KClass, c2: KClass) -> KClass:
-    return c1 + c2
-
-
-def k_normalize(c: KClass) -> KClass:
-    return KClass(c.tower, c.degree, c.modulus, c.terms)
 
 
 def _normalize_terms(tower, degree, modulus, terms):
@@ -300,81 +308,7 @@ def dlog_mod(F: FiniteField, x: FieldElement, m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# zero certification
-# ---------------------------------------------------------------------------
-
-def kclass_is_zero(c: KClass) -> bool:
-    """Certified zero test; raises Undecided when no procedure applies."""
-    if not c.terms:
-        return True
-    tower = effective_tower(c.tower)
-    if c.degree == 0:
-        return sum(cf for cf, _ in c.terms) % c.modulus == 0
-    if isinstance(tower, FiniteField):
-        if c.degree >= 2:
-            return True  # K_r(F_q) = 0 for r >= 2
-        total = 0
-        for cf, (x,) in c.terms:
-            total += cf * dlog_mod(tower, tower.elem(x), c.modulus)
-        return total % math.gcd(c.modulus, tower.q - 1) == 0
-    if isinstance(tower, PAdicDescriptor):
-        return _padic_kclass_is_zero(c, tower)
-    if isinstance(tower, LaurentExt):
-        if tower.characteristic != 0 and c.modulus % tower.characteristic == 0:
-            raise Undecided("wild modulus over a Laurent tower")
-        return kclass_is_zero(unit_reduction(c)) and kclass_is_zero(tame_residue(c))
-    raise Undecided(f"no zero-certification procedure over {c.tower}")
-
-
-def _padic_kclass_is_zero(c: KClass, K: PAdicDescriptor) -> bool:
-    p, m = K.p, c.modulus
-    tame = (p - 1) % m == 0 or m == 1
-    if not tame and not (m == 2):
-        raise Undecided(f"modulus {m} is wild over Qp({p})")
-    if c.degree >= 3:
-        return True  # cd(Q_p) = 2
-    if c.degree == 2:
-        total = 0
-        for cf, (x, y) in c.terms:
-            total += cf * hilbert_pairing(K.elem(x) if not isinstance(x, FieldElement)
-                                          else x, y, m)
-        return total % m == 0
-    # degree 1: valuation and unit class
-    if p == 2:  # m = 2: is the product of the x^cf a square in Q_2?
-        pairs = [(cf * v, u ** (cf % 2)) for cf, (x,) in c.terms
-                 for v, u in [_padic_val_unit(x)]]
-        return _is_local_square(_product(pairs), 2)
-    d = math.gcd(m, p - 1)
-    vtot = ulog = 0
-    g = _residue_of_exact_order(p, p - 1)
-    for cf, (x,) in c.terms:
-        v, u, _ = K.val_unit(x.payload)
-        vtot += cf * v
-        ulog += cf * _dlog_mod_p(u % p, g, p)
-    return vtot % m == 0 and ulog % d == 0
-
-
-def _dlog_mod_p(u: int, g: int, p: int) -> int:
-    acc = 1
-    for k in range(p - 1):
-        if acc == u % p:
-            return k
-        acc = (acc * g) % p
-    raise InconsistentConstruction("discrete log does not exist")
-
-
-def kclass_order(c: KClass) -> int:
-    """Order of c in K/m (smallest e | m with e*c = 0), certified."""
-    for e in range(1, c.modulus + 1):
-        if c.modulus % e:
-            continue
-        if kclass_is_zero(c.scale(e)):
-            return e
-    return c.modulus
-
-
-# ---------------------------------------------------------------------------
-# cohomology classes through the splitting tower
+# residue coordinates and zero certification: one evaluator over F_q and Q_p
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -423,77 +357,132 @@ class CoordinateRecord:
         return f"[{','.join(self.subset) or '-'}] {self.group}: {self.value}"
 
 
-def coh_coordinates(c: CohClass | KClass) -> list[CoordinateRecord]:
-    """Iterated-residue coordinates of a symbol-backed class over an s-fold
-    Laurent tower (s <= 2) on a p-adic (tame) or finite descriptor."""
-    k = c.kclass if isinstance(c, CohClass) else c
-    if isinstance(c, CohClass) and c.character is not None:
-        raise UnsupportedTower("coordinates need a purely symbol-backed class")
-    chain = effective_tower(k.tower).residue_chain()
-    if len(chain) > 2:
-        raise UnsupportedTower("coordinate computation implemented for s <= 2")
-    records = []
-    for size in range(len(chain) + 1):
-        for subset in itertools.combinations(range(len(chain)), size):
-            cur = k
-            names = []
-            for i, (var, _) in enumerate(chain):
-                if i in subset:
-                    cur = tame_residue(cur, var)
-                    names.append(var)
-                else:
-                    cur = unit_reduction(cur)
-            records.append(_evaluate_base_class(cur, tuple(names)))
-    return records
-
-
-def top_coordinate(c: CohClass | KClass) -> CoordinateRecord:
-    recs = coh_coordinates(c)
-    full = max(len(r.subset) for r in recs)
-    for r in recs:
-        if len(r.subset) == full:
-            return r
-    raise RuntimeError("unreachable")
-
-
 def _evaluate_base_class(k: KClass, names) -> CoordinateRecord:
+    """The coordinate of a class over F_q or Q_p in K_r/m, by the rules in
+    the module docstring; the only code that reads a K-class over a base."""
     tower = effective_tower(k.tower)
-    m = k.modulus
-    deg = k.degree
+    m, deg = k.modulus, k.degree
+    if deg <= 0:  # K_0 = Z over every field
+        return CoordinateRecord(names, f"Z/{m}", sum(cf for cf, _ in k.terms) % m)
     if isinstance(tower, FiniteField):
         if deg >= 2:
             return CoordinateRecord(names, "0 (K_r of a finite field, r >= 2)", 0)
-        if deg == 1:
-            total = 0
-            for cf, (x,) in k.terms:
-                total += cf * dlog_mod(tower, tower.elem(x), m)
-            d = math.gcd(m, tower.q - 1)
-            return CoordinateRecord(names, f"Z/{d}", total % d)
-        return CoordinateRecord(names, f"Z/{m}", sum(c for c, _ in k.terms) % m)
-    if isinstance(tower, PAdicDescriptor):
-        if deg >= 3:
-            return CoordinateRecord(names, "0 (cd(Q_p) = 2)", 0)
-        if deg == 2:
-            total = 0
-            for cf, (x, y) in k.terms:
-                total += cf * hilbert_pairing(x, y, m)
-            return CoordinateRecord(names, f"Z/{m}",
-                                    BrauerCoordinate(Fraction(total % m, m),
-                                                     "Hilbert pairing"))
-        if deg == 1:
-            p = tower.p
-            vtot, ulog = 0, 0
-            g = _residue_of_exact_order(p, p - 1)
-            for cf, (x,) in k.terms:
-                v, u, _ = tower.val_unit(x.payload)
-                vtot += cf * v
-                if p != 2:
-                    ulog += cf * _dlog_mod_p(u % p, g, p)
-            d = math.gcd(m, p - 1) if p != 2 else m
-            return CoordinateRecord(names, f"Z/{m} x Z/{d}",
-                                    (vtot % m, ulog % d if d else 0))
-        return CoordinateRecord(names, f"Z/{m}", sum(c for c, _ in k.terms) % m)
-    raise UnsupportedTower(f"coordinate evaluation over {k.tower}")
+        d = math.gcd(m, tower.q - 1)
+        total = sum(cf * dlog_mod(tower, tower.elem(x), m) for cf, (x,) in k.terms)
+        return CoordinateRecord(names, f"Z/{d}", total % d)
+    if not isinstance(tower, PAdicDescriptor):
+        raise UnsupportedTower(f"coordinate evaluation over {k.tower}")
+    p = tower.p
+    if deg >= 3:
+        return CoordinateRecord(names, "0 (cd(Q_p) = 2)", 0)
+    if m % p == 0 and m != 2:
+        raise Undecided(f"modulus {m} is wild over Qp({p})")
+    if deg == 2:
+        total = sum(cf * hilbert_pairing(x, y, m) for cf, (x, y) in k.terms)
+        return CoordinateRecord(names, f"Z/{m}",
+                                BrauerCoordinate(Fraction(total % m, m),
+                                                 "Hilbert pairing"))
+    if m == p == 2:
+        # Q_2^x/(Q_2^x)^2 = Z/2^3: (v, eps(u), omega(u)), Serre II.3.3
+        v = eps = omega = 0
+        for cf, (x,) in k.terms:
+            xv, u = _padic_val_unit(x)
+            v += cf * xv
+            eps += cf * (u % 4 == 3)
+            omega += cf * (u % 8 in (3, 5))
+        return CoordinateRecord(names, "Z/2 x Z/2 x Z/2", (v % 2, eps % 2, omega % 2))
+    # p does not divide m: Q_p^x/m = Z/m (valuation) x F_p^x/m (Hensel)
+    d = math.gcd(m, p - 1)
+    g = _residue_of_exact_order(p, p - 1) if d > 1 else None
+    v = ulog = 0
+    for cf, (x,) in k.terms:
+        xv, u, _ = tower.val_unit(x.payload)
+        v += cf * xv
+        if g is not None:
+            ulog += cf * _dlog_mod_p(u, g, p)
+    return CoordinateRecord(names, f"Z/{m} x Z/{d}", (v % m, ulog % d))
+
+
+def _dlog_mod_p(u: int, g: int, p: int) -> int:
+    acc = 1
+    for k in range(p - 1):
+        if acc == u % p:
+            return k
+        acc = (acc * g) % p
+    raise InconsistentConstruction("discrete log does not exist")
+
+
+def _is_zero_value(value) -> bool:
+    if isinstance(value, BrauerCoordinate):
+        return value.value == 0
+    if isinstance(value, tuple):
+        return not any(value)
+    return value == 0
+
+
+def _symbol_class(c: CohClass | KClass) -> KClass:
+    """The K-class of c, after the one wild-modulus check for Laurent
+    towers: every layer shares the characteristic of the base."""
+    if isinstance(c, CohClass):
+        if c.character is not None:
+            raise UnsupportedTower("coordinates need a purely symbol-backed class")
+        c = c.kclass
+    tower = effective_tower(c.tower)
+    if (isinstance(tower, LaurentExt) and tower.characteristic
+            and c.modulus % tower.characteristic == 0):
+        raise Undecided(f"modulus {c.modulus} is wild over {c.tower}")
+    return c
+
+
+def _leaves(k: KClass, names=()):
+    """The 2^s leaves of the residue tree of k over an s-fold Laurent tower,
+    as (residue variables, class over the residue base): at each variable,
+    outermost first, the unit reduction and then the residue."""
+    L = effective_tower(k.tower)
+    if not isinstance(L, LaurentExt):
+        yield names, k
+        return
+    yield from _leaves(unit_reduction(k), names)
+    yield from _leaves(tame_residue(k), names + (L.var,))
+
+
+def coh_coordinates(c: CohClass | KClass) -> list[CoordinateRecord]:
+    """The 2^s iterated-residue coordinates of a symbol-backed class over an
+    s-fold Laurent tower on F_q or Q_p, by subset size, then in tower order."""
+    leaves = list(_leaves(_symbol_class(c)))
+    order = leaves[-1][0]  # every variable, outermost first
+    leaves.sort(key=lambda leaf: (len(leaf[0]), [order.index(v) for v in leaf[0]]))
+    return [_evaluate_base_class(leaf, names) for names, leaf in leaves]
+
+
+def top_coordinate(c: CohClass | KClass) -> CoordinateRecord:
+    """The coordinate of the residue along every Laurent variable."""
+    k = _symbol_class(c)
+    names = ()
+    while isinstance(L := effective_tower(k.tower), LaurentExt):
+        k = tame_residue(k)
+        names += (L.var,)
+    return _evaluate_base_class(k, names)
+
+
+def kclass_is_zero(c: KClass) -> bool:
+    """Certified zero test: every residue coordinate of c is zero, a
+    syntactically zero one on any tower.  Raises Undecided for a wild
+    modulus, UnsupportedTower off F_q and Q_p."""
+    if not c.terms:
+        return True
+    return all(not leaf.terms or _is_zero_value(_evaluate_base_class(leaf, names).value)
+               for names, leaf in _leaves(_symbol_class(c)))
+
+
+def kclass_order(c: KClass) -> int:
+    """Order of c in K/m (smallest e | m with e*c = 0), certified."""
+    for e in range(1, c.modulus + 1):
+        if c.modulus % e:
+            continue
+        if kclass_is_zero(c.scale(e)):
+            return e
+    return c.modulus
 
 
 # ---------------------------------------------------------------------------
@@ -511,20 +500,6 @@ class RelativeGroup:
 
     def describe(self) -> str:
         return f"Z/{self.order}"
-
-    def m_r_map(self) -> dict:
-        ok = all((self.per_r * v) % self.modulus == 0
-                 for v in (self.subgroup_gcd,)) or self.subgroup_gcd == self.modulus
-        return {"kind": "multiply-then-include",
-                "factor": self.per_r,
-                "domain": f"Z/{self.order}",
-                "codomain": f"Z/{self.modulus}",
-                "well_defined": (self.per_r * self.subgroup_gcd) % self.modulus == 0}
-
-    def pi_r_map(self) -> dict:
-        return {"kind": "reduction mod the residue subgroup",
-                "domain": f"Z/{self.modulus}",
-                "codomain": f"Z/{self.order}"}
 
 
 def brauer_symbol_of(A) -> KClass:

@@ -5,7 +5,7 @@ Springer reduction with exhaustive residue searches, ghost components on
 integral polynomial lifts, sympy factorisation and symbolic expansion, and
 exhaustive basis checks straight from the multiplication table.
 
-sympy is imported inside the three functions that use it, so importing this
+sympy is imported inside the four functions that use it, so importing this
 module stays cheap: perfbench/refs.py imports it in every benchmark set-up.
 """
 
@@ -149,6 +149,24 @@ def tame_norm_oracle(a_val: int, a_unit_dlog: int, b_val: int, b_unit_dlog: int,
         if ((k * gen[0]) % m, (k * gen[1]) % m) == b_cls:
             return True
     return False
+
+
+def qp_nth_power(x: Fraction, m: int, p: int) -> bool:
+    """Whether the rational x is an m-th power in Q_p, for p not dividing m
+    (m | v(x) and the unit an m-th power residue mod p, by sympy's
+    is_nthpow_residue and Hensel) or p = m = 2 (v(x) even, unit 1 mod 8)."""
+    from sympy.ntheory import is_nthpow_residue
+    num, den, v = Fraction(x).numerator, Fraction(x).denominator, 0
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    if v % m:
+        return False
+    if p == m == 2:
+        return num * den % 8 == 1
+    assert m % p
+    return bool(is_nthpow_residue(num * pow(den, -1, p) % p, m, p))
 
 
 def hilbert_oracle(a: int, b: int, place) -> int:

@@ -59,6 +59,26 @@ def test_residue_command(capsys):
     assert "residue" in doc["conventions"]
 
 
+def test_residue_with_a_wild_modulus_is_undecided(capsys):
+    # 6 = 1 + 5 is not a 5th power in Q_5: no coordinate (0, 0) is claimed
+    argv = ["residue", "--field", "Qp(5)((t))", "--symbol", "{t,6}",
+            "--mod", "5", "--at", "t"]
+    code, doc = run_json(capsys, argv)
+    assert code == EXIT_OK
+    assert doc["payload"]["top_coordinate"] == "undecided"
+    code, doc = run_json(capsys, ["--require-certificate"] + argv)
+    assert code == EXIT_UNDECIDED
+
+
+def test_residue_over_q2_reads_the_square_class(capsys):
+    # the class of 3 in Q_2^x/2: v = 0, eps = (3 - 1)/2 = 1, omega = (9 - 1)/8 = 1
+    code, doc = run_json(capsys, ["residue", "--field", "Qp(2)((t))",
+                                  "--symbol", "{t,3}", "--mod", "2", "--at", "t"])
+    assert code == EXIT_OK
+    top = doc["payload"]["top_coordinate"]
+    assert top["group"] == "Z/2 x Z/2 x Z/2" and top["value"] == [0, 1, 1]
+
+
 def test_residue_determinism(capsys):
     argv = ["residue", "--field", "Qp(5)((t1))((t2))",
             "--symbol", "{2,t1,5,t2}", "--mod", "2", "--at", "t2,t1"]

@@ -134,6 +134,23 @@ def test_padic_nth_power_witnesses():
     assert res.is_power
 
 
+def test_laurent_nth_power_decided_by_hensel():
+    # x = t^v u (1 + w) is an n-th power iff n | v and u is one; only a
+    # monomial carries a witness
+    QT = parse_field("Q((t))")
+    rng = random.Random(12)
+    for _ in range(30):
+        n = rng.randint(2, 4)
+        y = QT.from_terms({e: QT.base.elem(rng.randint(1, 4))
+                           for e in range(rng.randint(-1, 1), 3)})
+        assert is_nth_power(y ** n, n).is_power
+        assert not is_nth_power(QT.monomial(1) * y ** n, n).is_power
+        assert not is_nth_power(QT.elem(-3 if n % 2 else 3) * y ** n, n).is_power
+    res = is_nth_power(QT.monomial(-4, 9), 2)
+    assert res.witness == QT.monomial(-2, 3)
+    assert is_nth_power(QT.elem(1) + QT.monomial(1), 3).witness is None
+
+
 def test_primitive_roots():
     F7 = FiniteField(7)
     z, _ = primitive_root_of_unity(F7, 3)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import qp_ternary_solvable, tame_norm_oracle
+from oracles import qp_nth_power, qp_ternary_solvable, tame_norm_oracle
 from skone.algebras import symbol_algebra, tensor
-from skone.errors import Undecided
+from skone.errors import Undecided, UnsupportedTower
 from skone.fields import FiniteField, PAdicDescriptor, Rationals, parse_field
 from skone.ktheory import (
     BrauerCoordinate,
@@ -169,6 +169,120 @@ def test_kclass_zero_decisions():
     assert not kclass_is_zero(c)
     c = c + (-symbol(QT, [2, t], 2))
     assert kclass_is_zero(c)
+
+
+def _qp_rationals(p, rng, count):
+    """Nonzero rationals p^v * a/b other than 1, with a, b prime to p."""
+    out = []
+    while len(out) < count:
+        a, b = rng.choice([x for x in range(-40, 41) if x % p]), rng.randint(1, 9)
+        if b % p:
+            x = Fraction(p) ** rng.randint(-2, 3) * Fraction(a, b)
+            if x != 1:
+                out.append(x)
+    return out
+
+
+def test_kclass_is_zero_matches_the_qp_power_oracle():
+    # {x} = 0 in K_1(Q_p)/m iff x is an m-th power; m not dividing p - 1
+    # included, and a modulus divisible by p stays undecided
+    rng = random.Random(21)
+    for p in (3, 5, 7, 11, 13):
+        K = PAdicDescriptor(p)
+        for m in range(2, 7):
+            for x in _qp_rationals(p, rng, 25):
+                c = symbol(K, [x], m)
+                if m % p == 0:
+                    with pytest.raises(Undecided):
+                        kclass_is_zero(c)
+                else:
+                    assert kclass_is_zero(c) == qp_nth_power(x, m, p), (p, m, x)
+
+
+def test_kclass_is_zero_matches_the_q2_power_oracle():
+    rng = random.Random(22)
+    K = PAdicDescriptor(2)
+    for m in (2, 3):
+        hits = 0
+        for x in _qp_rationals(2, rng, 120):
+            zero = kclass_is_zero(symbol(K, [x], m))
+            assert zero == qp_nth_power(x, m, 2), (m, x)
+            hits += zero
+        assert 0 < hits < 120
+
+
+def _is_zero_record(rec):
+    value = getattr(rec.value, "value", rec.value)
+    return not any(value) if isinstance(value, tuple) else value == 0
+
+
+def test_top_coordinate_is_the_full_residue_record():
+    rng = random.Random(23)
+    for p in (5, 13):
+        T = parse_field(f"Qp({p})((t1))((t2))")
+        t1, t2 = laurent_var_element(T, "t1"), laurent_var_element(T, "t2")
+        one = T.one()
+
+        def slot():
+            x = T.elem(rng.choice([2, 3, -1, p, 6])) * t1 ** rng.randint(0, 2) \
+                * t2 ** rng.randint(0, 2)
+            return x * (one + t1) if rng.random() < 0.3 else x
+
+        for m in (2, 3, 4):
+            compared = 0
+            for _ in range(30):
+                degree = rng.randint(1, 4)
+                c = symbol(T, [slot() for _ in range(degree)], m)
+                c = c + symbol(T, [slot() for _ in range(degree)], m).scale(
+                    rng.randint(1, m))
+                try:
+                    recs = coh_coordinates(c)
+                except (Undecided, UnsupportedTower):
+                    continue
+                assert len(recs) == 4
+                assert top_coordinate(c) == recs[-1]
+                assert recs[-1].subset == ("t2", "t1")
+                assert kclass_is_zero(c) == all(map(_is_zero_record, recs))
+                compared += 1
+            assert compared >= 10, (p, m, compared)
+
+
+def test_evaluator_degree_rules():
+    # K_3(Q_p)/m = 0 for every m, a wild one included
+    Q5 = PAdicDescriptor(5)
+    assert kclass_is_zero(symbol(Q5, [2, 3, 5], 5))
+    assert top_coordinate(symbol(Q5, [2, 3, 5], 25)).value == 0
+    # degree 1 with p | m, other than p = m = 2, is undecided
+    with pytest.raises(Undecided):
+        kclass_is_zero(symbol(Q5, [6], 5))
+    # F_q: degree 1 mod gcd(m, q - 1), degree >= 2 vanishes
+    F7 = FiniteField(7)
+    rec = top_coordinate(symbol(F7, [3], 4))
+    assert rec.group == "Z/2" and rec.value == 1
+    assert kclass_is_zero(symbol(F7, [3, 5], 6))
+    # a Laurent tower whose characteristic divides m is undecided, at every
+    # entry point
+    F5t = parse_field("F(5)((t))")
+    c = symbol(F5t, [F5t.monomial(1), 2], 5)
+    for fn in (kclass_is_zero, coh_coordinates, top_coordinate):
+        with pytest.raises(Undecided):
+            fn(c)
+    # off F_q and Q_p there is no evaluator
+    Qt = parse_field("Q((t))")
+    with pytest.raises(UnsupportedTower):
+        kclass_is_zero(symbol(Qt, [Qt.monomial(1), 2], 2))
+
+
+def test_coh_coordinates_of_a_threefold_tower():
+    T = parse_field("Qp(5)((t1))((t2))((t3))")
+    t1, t2, t3 = (laurent_var_element(T, v) for v in ("t1", "t2", "t3"))
+    c = symbol(T, [t1, 2, t2, 5, t3], 2)
+    recs = coh_coordinates(c)
+    assert [r.subset for r in recs] == [
+        (), ("t3",), ("t2",), ("t1",), ("t3", "t2"), ("t3", "t1"),
+        ("t2", "t1"), ("t3", "t2", "t1")]
+    assert top_coordinate(c) == recs[-1]
+    assert recs[-1].value.value == Fraction(1, 2)
 
 
 def test_coh_coordinates_examples():
