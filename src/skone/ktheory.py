@@ -19,12 +19,19 @@ modulus:
   * degree 0: the coefficient sum mod m, over any field;
   * F_q: degree 1 is the discrete log mod gcd(m, q-1); degree >= 2 is 0;
   * Q_p: degree >= 3 is 0 for every m (cd(Q_p) = 2); degree 2 is the
-    Hilbert pairing (m | p-1 or m = 2); degree 1 is (v mod m, unit dlog
+    Hilbert pairing in Z/m (m | p-1 or m = 2), and for any other m prime to
+    p the tame symbol mod d = gcd(m, p-1) in Z/d, since K_2(Q_p)/m =
+    mu(Q_p)/m (Moore; 0 in Z/1 when d = 1); degree 1 is (v mod m, unit dlog
     mod gcd(m, p-1)) for p not dividing m, and the square class
     (v, eps, omega) mod 2 for p = m = 2; any other m divisible by p is
     undecided;
   * a Laurent tower whose characteristic divides m is undecided (one check
     covers every layer, since all share the characteristic of the base).
+
+`kclass_is_zero` and `coh_coordinates` walk normalised residues: an empty
+leaf is zero whatever the modulus.  `top_coordinate` reads the terms as they
+stand, so a class built with normalized=True (as `relative_group` builds its
+lifts) skips the relator normaliser; every map it applies kills relators.
 
 Equality with the value "zero" is only ever asserted when the decision
 procedure certifies it; otherwise Undecided is raised.
@@ -89,8 +96,10 @@ class KClass:
         return self + (-other)
 
     def scale(self, k: int) -> "KClass":
-        return KClass(self.tower, self.degree, self.modulus,
-                      [(c * k, s) for c, s in self.terms])
+        m = self.modulus
+        return KClass(self.tower, self.degree, m,
+                      [(c * k % m, s) for c, s in self.terms if c * k % m],
+                      normalized=True)
 
     def is_syntactically_zero(self) -> bool:
         return not self.terms
@@ -192,10 +201,13 @@ def tame_residue(c: KClass, var: str | None = None) -> KClass:
     if var is not None and L.var != var:
         raise InconsistentConstruction(
             f"residue variable {var!r} is not the outermost variable {L.var!r}")
-    out_terms = []
-    for coeff, slots in c.terms:
-        out_terms.extend(_residue_of_pure(L, coeff, slots, c.modulus))
-    return KClass(L.base, c.degree - 1, c.modulus, out_terms)
+    return KClass(L.base, c.degree - 1, c.modulus, _residue_terms(L, c))
+
+
+def _residue_terms(L: LaurentExt, c: KClass):
+    """The terms of the residue of c along L, as they stand (not normalised)."""
+    return [(cf, slots) for coeff, pure in c.terms
+            for cf, slots in _residue_of_pure(L, coeff, pure, c.modulus) if cf]
 
 
 def unit_reduction(c: KClass) -> KClass:
@@ -259,7 +271,9 @@ def hilbert_pairing(a: FieldElement, b: FieldElement, modulus: int) -> int:
     """The m-torsion Hilbert pairing of a local field, additively in Z/m.
 
     Value 0 iff b is a norm from the Kummer extension attached to a.
-    Supported: tame modulus (m | p-1), m = 2 for every p (including p = 2).
+    Supported: m | p-1, and m = 2 for every p (including p = 2).  Any other
+    m prime to p has no primitive m-th root of unity in Q_p; its K_2/m is
+    read mod gcd(m, p-1) by `_evaluate_base_class`.
     """
     K = effective_tower(a.tower)
     if not isinstance(K, PAdicDescriptor):
@@ -269,8 +283,10 @@ def hilbert_pairing(a: FieldElement, b: FieldElement, modulus: int) -> int:
         return _hilbert(_padic_val_unit(a), _padic_val_unit(b), p)
     if p != 2 and (p - 1) % modulus == 0:
         return _tame_pairing(K, a, b, modulus)
+    reason = ("the modulus is wild" if modulus % p == 0
+              else f"Qp({p}) has no primitive {modulus}-th root of unity")
     raise UnsupportedTower(
-        f"hilbert_pairing mod {modulus} over Qp({p}) is wild; only tame moduli "
+        f"hilbert_pairing mod {modulus} over Qp({p}): {reason}; only m | p-1 "
         f"and m=2 are implemented")
 
 
@@ -377,6 +393,12 @@ def _evaluate_base_class(k: KClass, names) -> CoordinateRecord:
         return CoordinateRecord(names, "0 (cd(Q_p) = 2)", 0)
     if m % p == 0 and m != 2:
         raise Undecided(f"modulus {m} is wild over Qp({p})")
+    if deg == 2 and m != 2 and (p - 1) % m:
+        # Moore: K_2(Q_p)/m = mu(Q_p)/m = Z/d, d = gcd(m, p-1), read by the
+        # tame symbol mod d
+        d = math.gcd(m, p - 1)
+        total = sum(cf * _tame_pairing(tower, x, y, d) for cf, (x, y) in k.terms)
+        return CoordinateRecord(names, f"Z/{d}", total % d)
     if deg == 2:
         total = sum(cf * hilbert_pairing(x, y, m) for cf, (x, y) in k.terms)
         return CoordinateRecord(names, f"Z/{m}",
@@ -456,11 +478,14 @@ def coh_coordinates(c: CohClass | KClass) -> list[CoordinateRecord]:
 
 
 def top_coordinate(c: CohClass | KClass) -> CoordinateRecord:
-    """The coordinate of the residue along every Laurent variable."""
+    """The coordinate of the residue along every Laurent variable.  The terms
+    are read as they stand: residues and base coordinates are symbol maps,
+    so a relator term the normaliser would drop contributes 0."""
     k = _symbol_class(c)
     names = ()
     while isinstance(L := effective_tower(k.tower), LaurentExt):
-        k = tame_residue(k)
+        k = KClass(L.base, k.degree - 1, k.modulus, _residue_terms(L, k),
+                   normalized=True)
         names += (L.var,)
     return _evaluate_base_class(k, names)
 
@@ -564,8 +589,8 @@ def field_generators_mod_m(T: FieldTower, m: int) -> list[FieldElement]:
 
 def relative_group(A, r: int, modulus: int) -> RelativeGroup:
     """H^4_{modulus, A^(x r)} over a 2-fold Laurent tower on a tame p-adic base,
-    computed through iterated residues and the Hilbert pairing."""
-    from .algebras import SymbolTag, TensorTag
+    computed through iterated residues and the Hilbert pairing.  Each lift
+    {g, h, a, b} is read by `top_coordinate` without normalising it."""
     T = A.base
     beta = brauer_symbol_of(A)          # [A] in K_2 / n
     n = beta.modulus
@@ -583,8 +608,11 @@ def relative_group(A, r: int, modulus: int) -> RelativeGroup:
             total = 0
             for cf, (a, b) in beta.terms:
                 # lift of cf*{a,b} into Z/modulus carries the factor modulus/n
-                cls4 = symbol(T, [g, h, a, b], modulus).scale(cf * (modulus // n) * r)
-                rec = top_coordinate(cls4)
+                c = cf * (modulus // n) * r % modulus
+                if not c:
+                    continue
+                rec = top_coordinate(KClass(T, 4, modulus, [(c, (g, h, a, b))],
+                                            normalized=True))
                 val = rec.value
                 if isinstance(val, BrauerCoordinate):
                     val = int(val.value * modulus) % modulus

@@ -512,3 +512,49 @@ def kmrt_v_defect(sigma, v, w):
     if v != w * d:
         return "v (Trp(v) - v)^{-1} != w"
     return None
+
+
+# --- relative cohomology through the normalising residue chain ----------------
+
+def relative_group_oracle(A, r: int, modulus: int) -> dict:
+    """relative_group's fields the slow way: every lift {g, h, a, b} is built
+    by `symbol` and scaled through the normaliser, and its top coordinate is
+    read after residues that each normalise again (`tame_residue`)."""
+    from skone.fields import LaurentExt
+    from skone.forms import effective_tower
+    from skone.ktheory import (
+        BrauerCoordinate,
+        KClass,
+        brauer_symbol_of,
+        field_generators_mod_m,
+        kclass_order,
+        symbol,
+        tame_residue,
+        top_coordinate,
+    )
+
+    def scaled(c, k):
+        return KClass(c.tower, c.degree, c.modulus, [(cf * k, s) for cf, s in c.terms])
+
+    T = A.base
+    beta = brauer_symbol_of(A)
+    n = beta.modulus
+    gens = field_generators_mod_m(T, modulus)
+    generators = []
+    for i, g in enumerate(gens):
+        for h in gens[i:]:
+            total = 0
+            for cf, (a, b) in beta.terms:
+                c = scaled(symbol(T, [g, h, a, b], modulus), cf * (modulus // n) * r)
+                while isinstance(effective_tower(c.tower), LaurentExt):
+                    c = tame_residue(c)
+                val = top_coordinate(c).value
+                if isinstance(val, BrauerCoordinate):
+                    val = int(val.value * modulus) % modulus
+                total = (total + val) % modulus
+            generators.append(((str(g), str(h)), total))
+    gcd = modulus
+    for _, v in generators:
+        gcd = math.gcd(gcd, v)
+    return {"order": gcd, "subgroup_gcd": gcd,
+            "per_r": kclass_order(scaled(beta, r)), "generators": generators}

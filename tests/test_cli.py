@@ -70,6 +70,16 @@ def test_residue_with_a_wild_modulus_is_undecided(capsys):
     assert code == EXIT_UNDECIDED
 
 
+def test_residue_reads_k2_of_qp_mod_a_modulus_without_its_roots_of_unity(capsys):
+    # K_2(Q_7)/4 = mu(Q_7)/4 = Z/2 (Moore): {3, 7} is read by the tame symbol
+    code, doc = run_json(capsys, ["--require-certificate", "residue", "--field",
+                                  "Qp(7)((t1))((t2))", "--symbol", "{t1,t2,3,7}",
+                                  "--mod", "4", "--at", "t2,t1"])
+    assert code == EXIT_OK
+    top = doc["payload"]["top_coordinate"]
+    assert top["group"] == "Z/2" and top["value"] == 1
+
+
 def test_residue_over_q2_reads_the_square_class(capsys):
     # the class of 3 in Q_2^x/2: v = 0, eps = (3 - 1)/2 = 1, omega = (9 - 1)/8 = 1
     code, doc = run_json(capsys, ["residue", "--field", "Qp(2)((t))",

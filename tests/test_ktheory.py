@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,10 +6,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import qp_nth_power, qp_ternary_solvable, tame_norm_oracle
+from oracles import (
+    qp_nth_power,
+    qp_ternary_solvable,
+    relative_group_oracle,
+    tame_norm_oracle,
+)
 from skone.algebras import symbol_algebra, tensor
 from skone.errors import Undecided, UnsupportedTower
-from skone.fields import FiniteField, PAdicDescriptor, Rationals, parse_field
+from skone.fields import (
+    FiniteField,
+    PAdicDescriptor,
+    Rationals,
+    parse_field,
+    primitive_root_of_unity,
+)
 from skone.ktheory import (
     BrauerCoordinate,
     KClass,
@@ -245,6 +257,86 @@ def test_top_coordinate_is_the_full_residue_record():
                 assert kclass_is_zero(c) == all(map(_is_zero_record, recs))
                 compared += 1
             assert compared >= 10, (p, m, compared)
+
+
+def test_top_coordinate_reads_terms_as_they_stand():
+    # a raw normalized=True class and the same slots built by `symbol` (and so
+    # normalised) have one top coordinate: relators contribute 0 either way
+    rng = random.Random(31)
+    for p in (5, 7, 13):
+        T = parse_field(f"Qp({p})((t1))((t2))")
+        t1, t2 = laurent_var_element(T, "t1"), laurent_var_element(T, "t2")
+        one = T.one()
+
+        def slot():
+            x = T.elem(rng.choice([2, 3, -1, p, 6])) * t1 ** rng.randint(0, 2) \
+                * t2 ** rng.randint(0, 2)
+            return x * (one + t1) if rng.random() < 0.3 else x
+
+        for m in (2, 3, 4, 6):
+            for case in range(24):
+                # a constant x leaves the relator in the base slots
+                x = slot() if case % 8 < 4 else T.elem(rng.choice([2, 3, -p, 3 * p]))
+                pair = [[x, one - x], [x, -x], [x, x], [x ** m, slot()]][case % 4]
+                slots = [slot() for _ in range(rng.randint(0, 2))]
+                for y in pair:  # not necessarily adjacent
+                    slots.insert(rng.randint(0, len(slots)), y)
+                other = [slot() for _ in slots]
+                cf1, cf2 = rng.randint(1, m - 1), rng.randint(1, m - 1)
+                raw = KClass(T, len(slots), m, [(cf1, tuple(slots)),
+                                                (cf2, tuple(other))],
+                             normalized=True)
+                built = symbol(T, slots, m).scale(cf1) + \
+                    symbol(T, other, m).scale(cf2)
+                assert top_coordinate(raw) == top_coordinate(built), \
+                    (p, m, case, slots)
+
+
+def _primes(residue_mod, limit):
+    """The primes p < limit with p = 1 mod residue_mod (the platonov-towers
+    benchmark's rule)."""
+    return [p for p in range(3, limit) if p % residue_mod == 1
+            and all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+
+def test_relative_group_matches_the_normalising_oracle():
+    for n, primes in ((2, _primes(8, 400)), (3, _primes(27, 1000)), (5, [251])):
+        for p in primes:
+            a = next(g for g in range(2, p)
+                     if len({pow(g, k, p) for k in range(p - 1)}) == p - 1)
+            T = parse_field(f"Qp({p})[zeta_{n * n}]((t1))((t2))" if n > 2
+                            else f"Qp({p})((t1))((t2))")
+            t1, t2 = laurent_var_element(T, "t1"), laurent_var_element(T, "t2")
+            zeta, _ = primitive_root_of_unity(T, n)
+            A = tensor(symbol_algebra(T, a, t1, n, zeta),
+                       symbol_algebra(T, p, t2, n, zeta))
+            for r in (1, 2):
+                got = relative_group(A, r, n * n)
+                want = relative_group_oracle(A, r, n * n)
+                assert (got.order, got.subgroup_gcd, got.per_r, got.generators) \
+                    == (want["order"], want["subgroup_gcd"], want["per_r"],
+                        want["generators"]), (n, p, r)
+
+
+def test_k2_of_qp_mod_m_is_read_mod_gcd_m_p_minus_1():
+    # Moore: K_2(Q_p)/m = mu(Q_p)/m = Z/d, d = gcd(m, p - 1), for p not
+    # dividing m; the coordinate is the pairing mod d
+    rng = random.Random(37)
+    for p in (3, 5, 7, 11, 13):
+        K = PAdicDescriptor(p)
+        for m in range(3, 9):
+            if m % p == 0:
+                continue
+            d = math.gcd(m, p - 1)
+            for _ in range(12):
+                x, y = _qp_rationals(p, rng, 2)
+                rec = top_coordinate(symbol(K, [x, y], m))
+                value = rec.value
+                if isinstance(value, BrauerCoordinate):
+                    value = int(value.value * m) % m
+                want = 0 if d == 1 else hilbert_pairing(K.elem(x), K.elem(y), d)
+                assert rec.group == f"Z/{d}" and value == want, (p, m, x, y)
+    assert not kclass_is_zero(symbol(PAdicDescriptor(7), [3, 7], 4))
 
 
 def test_evaluator_degree_rules():
