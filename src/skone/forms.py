@@ -903,13 +903,12 @@ def _witt_char2_finite(q: QuadraticForm) -> WittClass:
     a = arf_invariant(q)
     if a.is_trivial:
         return WittClass(tower, QuadraticForm(tower), q.dim // 2, "Arf classification")
-    # the unique nonzero class: [1, c] with x^2 + x + c irreducible
+    # the unique nonzero class: [1, c] with x^2 + x + c irreducible, i.e.
+    # Tr(c) = 1
     F: FiniteField = effective_tower(tower)
-    for c in F.elements():
-        probe = QuadraticForm(tower, (), [(tower.one(), c)])
-        if not arf_invariant(probe).is_trivial:
-            return WittClass(tower, probe, (q.dim - 2) // 2, "Arf classification")
-    raise RuntimeError("unreachable: Arf is onto k/P(k)")
+    c = next(c for c in F.elements() if not _trace_to_f2(c).is_zero())
+    probe = QuadraticForm(tower, (), [(tower.one(), c)])
+    return WittClass(tower, probe, (q.dim - 2) // 2, "Arf classification")
 
 
 def witt_add(c1: WittClass, c2: WittClass) -> WittClass:
@@ -952,8 +951,18 @@ class ArfInvariant:
         return f"Arf({self.value}, trivial={self.is_trivial})"
 
 
+def _trace_to_f2(x: FieldElement) -> FieldElement:
+    """Tr_{F_q/F_2}(x) = sum_{j<e} x^(2^j), q = 2^e."""
+    acc, conj = x, x
+    for _ in range(effective_tower(x.tower).e - 1):
+        conj = conj * conj
+        acc = acc + conj
+    return acc
+
+
 def arf_invariant(q: QuadraticForm) -> ArfInvariant:
-    """Arf(q) = sum a_i b_i in k / {x^2 + x}; triviality decided over F_2^e."""
+    """Arf(q) = sum a_i b_i in k / {x^2 + x}; over F_q, q = 2^e, it is
+    trivial iff Tr_{F_q/F_2}(sum a_i b_i) = 0 (additive Hilbert 90)."""
     if not q.char2:
         raise UnsupportedTower("Arf invariant lives in characteristic 2")
     if q.diag:
@@ -964,8 +973,7 @@ def arf_invariant(q: QuadraticForm) -> ArfInvariant:
         acc = acc + a * b
     F = effective_tower(tower)
     if isinstance(F, FiniteField):
-        trivial = any((x * x + x) == acc for x in F.elements())
-        return ArfInvariant(acc, trivial)
+        return ArfInvariant(acc, _trace_to_f2(acc).is_zero())
     raise UnsupportedTower("Arf triviality is certified over finite fields only")
 
 

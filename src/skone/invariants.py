@@ -32,7 +32,6 @@ from .fields import (
     PAdicDescriptor,
     _is_prime,
     factorize,
-    is_nth_power,
     primitive_root_of_unity,
 )
 from .forms import (
@@ -55,7 +54,6 @@ from .ktheory import (
     symbol,
     top_coordinate,
 )
-from .linalg import nullspace
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +254,9 @@ def _division_certificate_n2(cfg: PlatonovConfig):
 
 @dataclass
 class HyperbolicityReport:
-    hyperbolic: bool | None       # None = the idempotent search found no witness
+    hyperbolic: bool | None       # None = outside the decided domain (see provenance)
     provenance: str
-    witness: AlgElement | None = None   # idempotent, or square-zero x in Symd^0
+    witness: AlgElement | None = None   # square-zero x in Symd^0
 
 
 def hyperbolicity_check(sigma: Involution,
@@ -280,27 +278,26 @@ def hyperbolicity_check(sigma: Involution,
     x = e s sigma(e), s symmetric, with x^2 = e s (1 - e) e s sigma(e) = 0.)
     The witness is None on this path.
 
-    Where isotropy is not supported over the tower, or sigma is not a
-    symplectic involution of degree 4, a bounded search for such an
-    idempotent runs instead; its failure is a search outcome (None), not a
-    proof.
+    Outside that domain -- sigma not symplectic of degree 4, or isotropy
+    not supported over the tower -- the report is hyperbolic=None, with the
+    reason as its provenance.
     """
     A = sigma.algebra
     if division:
         return HyperbolicityReport(False, "division algebra has no nontrivial idempotents")
     if A.base.characteristic == 2:
-        raise UnsupportedTower("hyperbolicity search implemented away from char 2")
-    if A.degree == 4 and sigma.kind() == "symplectic":
-        try:
-            res = isotropy(_q_sigma(sigma))
-        except UnsupportedTower:
-            pass
-        else:
-            state = "isotropic" if res.isotropic else "anisotropic"
-            return HyperbolicityReport(
-                res.isotropic, f"q_sigma on Symd(A, sigma)^0 is {state} "
-                f"({res.certificate}); KMRT section 16 criterion")
-    return _idempotent_search(sigma)
+        raise UnsupportedTower("hyperbolicity is decided away from char 2")
+    if A.degree != 4 or sigma.kind() != "symplectic":
+        return HyperbolicityReport(
+            None, "KMRT section 16 criterion needs a symplectic involution of degree 4")
+    try:
+        res = isotropy(_q_sigma(sigma))
+    except UnsupportedTower as exc:
+        return HyperbolicityReport(None, f"isotropy of q_sigma is not decided: {exc}")
+    state = "isotropic" if res.isotropic else "anisotropic"
+    return HyperbolicityReport(
+        res.isotropic, f"q_sigma on Symd(A, sigma)^0 is {state} "
+        f"({res.certificate}); KMRT section 16 criterion")
 
 
 def _q_sigma(sigma: Involution) -> QuadraticForm:
@@ -325,38 +322,6 @@ def _symd0_parts(sigma: Involution) -> list[AlgElement]:
     A = sigma.algebra
     return [x - A.one().scale(trp(sigma, x) * Fraction(1, 2))
             for x in map(A.element, sigma.symd_basis())]
-
-
-def _idempotent_search(sigma: Involution) -> HyperbolicityReport:
-    """Bounded search over sigma-skew z with z^2 a nonzero square lambda:
-    e = (1 + z/sqrt(lambda))/2 is then an idempotent with sigma(e) = 1 - e."""
-    A = sigma.algebra
-    # skew space: sigma(z) = -z
-    rows = []
-    for j in range(A.dim):
-        ej = A.basis_element(j)
-        rows.append((sigma.apply(ej) + ej).coords)
-    mat = [[rows[j][i] for j in range(A.dim)] for i in range(A.dim)]
-    skew = nullspace(mat, A.base)
-    candidates = []
-    for z in skew:
-        candidates.append(A.element(z))
-    for zi in range(len(candidates)):
-        for zj in range(zi, len(candidates)):
-            for ci, cj in ((1, 1), (1, -1), (1, 2), (2, 1), (1, 0)):
-                z = candidates[zi].scale(ci) + candidates[zj].scale(cj) \
-                    if zi != zj else candidates[zi].scale(ci)
-                zz = z * z
-                lam = zz.coords[0]
-                if not (zz - A.one().scale(lam)).is_zero() or lam.is_zero():
-                    continue
-                root = is_nth_power(lam, 2)
-                if root.is_power and root.witness is not None:
-                    znorm = z.scale(root.witness.inverse())
-                    e = (A.one() + znorm).scale(Fraction(1, 2))
-                    if (e * e) == e and sigma.apply(e) == (A.one() - e):
-                        return HyperbolicityReport(True, "idempotent witness found", e)
-    return HyperbolicityReport(None, "no idempotent witness in the search space")
 
 
 # ---------------------------------------------------------------------------

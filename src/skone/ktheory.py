@@ -20,11 +20,12 @@ modulus:
   * F_q: degree 1 is the discrete log mod gcd(m, q-1); degree >= 2 is 0;
   * Q_p: degree >= 3 is 0 for every m (cd(Q_p) = 2); degree 2 is the
     Hilbert pairing in Z/m (m | p-1 or m = 2), and for any other m prime to
-    p the tame symbol mod d = gcd(m, p-1) in Z/d, since K_2(Q_p)/m =
-    mu(Q_p)/m (Moore; 0 in Z/1 when d = 1); degree 1 is (v mod m, unit dlog
-    mod gcd(m, p-1)) for p not dividing m, and the square class
-    (v, eps, omega) mod 2 for p = m = 2; any other m divisible by p is
-    undecided;
+    p, or divisible by an odd p, the tame symbol mod d = gcd(m, p-1) in Z/d,
+    since K_2(Q_p)/m = mu(Q_p)/m (Moore; 0 in Z/1 when d = 1) and mu(Q_p)
+    has no p-part for odd p; degree 1 is (v mod m, unit dlog mod
+    gcd(m, p-1)) for p not dividing m, and the square class (v, eps, omega)
+    mod 2 for p = m = 2; degree 1 with any other m divisible by p, and
+    degree 2 over Q_2 with even m != 2, are undecided;
   * a Laurent tower whose characteristic divides m is undecided (one check
     covers every layer, since all share the characteristic of the base).
 
@@ -391,11 +392,11 @@ def _evaluate_base_class(k: KClass, names) -> CoordinateRecord:
     p = tower.p
     if deg >= 3:
         return CoordinateRecord(names, "0 (cd(Q_p) = 2)", 0)
-    if m % p == 0 and m != 2:
+    if m % p == 0 and m != 2 and (deg == 1 or p == 2):
         raise Undecided(f"modulus {m} is wild over Qp({p})")
     if deg == 2 and m != 2 and (p - 1) % m:
         # Moore: K_2(Q_p)/m = mu(Q_p)/m = Z/d, d = gcd(m, p-1), read by the
-        # tame symbol mod d
+        # tame symbol mod d; for odd p | m too, as mu(Q_p) has no p-part
         d = math.gcd(m, p - 1)
         total = sum(cf * _tame_pairing(tower, x, y, d) for cf, (x, y) in k.terms)
         return CoordinateRecord(names, f"Z/{d}", total % d)

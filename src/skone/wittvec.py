@@ -7,17 +7,24 @@ The universal addition/multiplication/negation polynomials are generated once
 from ghost components by an integer recursion over dict polynomials (no
 computer algebra system) and cached; evaluating them modulo p is both the
 implementation and, on integral lifts, the test oracle's reference point.
+
+Over F_q, q = p^e, the class of w in W_l(F_q)/(F - 1)W_l(F_q) = Z/p^l is
+its trace sum_{j<e} F^j(w), read in W_l(F_p) = Z/p^l (additive Hilbert 90
+for the unramified extension; Serre, Local Fields, II 6 and X 1).  That
+trace decides the (F - 1) relator, the order of a character and the degree
+of the extension over which v^(p) - v = w is solved; no decision enumerates
+W_l(F_q).
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import InconsistentConstruction, UnsupportedTower
-from .fields import FieldElement, FieldTower, FiniteField
+from .fields import FieldElement, FieldTower, FiniteField, _teichmueller
 from .forms import effective_tower
 from .ktheory import CohClass, KClass, symbol
 from .poly import Poly
@@ -146,17 +153,6 @@ class WittVector:
                                            other.components, self.tower)
                            for n in range(self.length)])
 
-    def scale_int(self, k: int) -> "WittVector":
-        k %= self.p ** self.length
-        acc = witt_zero(self.tower, self.length)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc + base
-            base = base + base
-            k >>= 1
-        return acc
-
     def frobenius(self) -> "WittVector":
         return WittVector(self.tower, [c ** self.p for c in self.components])
 
@@ -206,20 +202,20 @@ def truncate(w: WittVector, l: int) -> WittVector:
     return WittVector(w.tower, w.components[:l])
 
 
-def all_witt_vectors(F: FiniteField, l: int):
-    elems = list(F.elements())
-    for comps in itertools.product(elems, repeat=l):
-        yield WittVector(F, comps)
-
-
-def artin_schreier_image(F: FiniteField, l: int):
-    """The subgroup (F - 1) W_l(F_q) = {v^(p) - v}, by enumeration."""
-    out = []
-    for v in all_witt_vectors(F, l):
-        w = v.frobenius() - v
-        if not any(w == o for o in out):
-            out.append(w)
-    return out
+def witt_trace(w: WittVector) -> int:
+    """The trace sum_{j<e} F^j(w) of w in W_l(F_q), q = p^e, as an integer
+    mod p^l.  It lies in W_l(F_p) = Z/p^l, where (a_0, ..., a_{l-1}) is
+    sum p^i T(a_i) with T the Teichmueller lift; its kernel is (F - 1)W_l."""
+    F = effective_tower(w.tower)
+    if not isinstance(F, FiniteField):
+        raise UnsupportedTower("the Witt trace needs a finite field")
+    acc, conj = w, w
+    for _ in range(F.e - 1):
+        conj = conj.frobenius()
+        acc = acc + conj
+    pl = w.p ** w.length
+    return sum(w.p ** i * _teichmueller(c.payload[0], w.p, w.length)
+               for i, c in enumerate(acc.components)) % pl
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +243,7 @@ class LogDiffClass:
         return self.q + 1
 
     def _normalize(self, terms):
-        AS = None
-        if isinstance(effective_tower(self.tower), FiniteField):
-            AS = artin_schreier_image(effective_tower(self.tower), self.length)
+        finite = isinstance(effective_tower(self.tower), FiniteField)
         # combine like slot tuples first
         combined: list[tuple[WittVector, tuple]] = []
         for w, slots in terms:
@@ -276,8 +270,8 @@ class LogDiffClass:
                 a = w.components[nonzero[0]]
                 if any(s == a for s in slots):
                     continue  # relator (ii)
-            if AS is not None and any(w == img for img in AS):
-                continue  # relator (iii)
+            if finite and witt_trace(w) == 0:
+                continue  # relator (iii): w lies in (F - 1)W_l
             out.append((w, slots))
         return out
 
@@ -291,10 +285,6 @@ class LogDiffClass:
     def __neg__(self):
         return LogDiffClass(self.tower, self.length, self.q,
                             [(-w, s) for w, s in self.terms])
-
-    def scale_int(self, k: int) -> "LogDiffClass":
-        return LogDiffClass(self.tower, self.length, self.q,
-                            [(w.scale_int(k), s) for w, s in self.terms])
 
     def kmilnor_mult(self, xs) -> "LogDiffClass":
         """Scalar multiplication by a pure Milnor symbol: prepend its slots."""
@@ -403,42 +393,33 @@ class CharacterDatum:
                 f"(v = {self.solution} over {self.solution_field})")
 
 
-def _canonical_as_solution(w: WittVector, degrees=(1, 2, 4)):
-    """Deterministic smallest solution of v^(p) - v = w over F_(q^e).
-
-    A character of order p^k splits over the degree-p^k extension, so orders
-    up to p^2 are covered by the default degree list."""
+def _canonical_as_solution(w: WittVector):
+    """Deterministic smallest solution of v^(p) - v = w over F_(q^e), with e
+    the order of w: over F_(q^e) the trace of w is e times its trace over
+    F_q, so a solution exists there exactly when the order divides e."""
+    e = character_order(w)
     F = effective_tower(w.tower)
-    if not isinstance(F, FiniteField):
-        raise UnsupportedTower("Artin-Schreier-Witt solving needs a finite field")
-    for e in degrees:
-        Fe = F if e == 1 else FiniteField(F.q ** e)
-        wl = WittVector(Fe, [_embed_ff(c, Fe) for c in w.components])
-        v = _as_solve_componentwise(Fe, wl)
-        if v is not None:
-            return v, Fe
-    raise InconsistentConstruction(
-        f"no Artin-Schreier-Witt solution within extension degrees {degrees}")
+    Fe = F if e == 1 else FiniteField(F.q ** e)
+    wl = WittVector(Fe, [_embed_ff(c, Fe) for c in w.components])
+    return _as_solve_componentwise(Fe, wl), Fe
 
 
-def _as_solve_componentwise(Fe: FiniteField, wl: WittVector):
-    """Greedy componentwise solve of F(v) - v = wl; component j of any Witt
-    expression depends only on components <= j, and the solution set is a
-    coset of the prime-field constants, so greedy choices never dead-end."""
+def _as_solve_componentwise(Fe: FiniteField, wl: WittVector) -> WittVector:
+    """Greedy componentwise solve of F(v) - v = wl, for wl of trace 0;
+    component j of any Witt expression depends only on components <= j, and
+    the solution set is a coset of W_l(F_p), so greedy choices never
+    dead-end."""
     l = wl.length
     elems = list(Fe.elements())
     comps: list = []
+
+    def solves_through(x, i):
+        cand = WittVector(Fe, comps + [x] + [Fe.zero()] * (l - i - 1))
+        d = cand.frobenius() - cand
+        return all(d.components[j] == wl.components[j] for j in range(i + 1))
+
     for i in range(l):
-        found = None
-        for x in elems:
-            cand = WittVector(Fe, comps + [x] + [Fe.zero()] * (l - i - 1))
-            d = cand.frobenius() - cand
-            if all(d.components[j] == wl.components[j] for j in range(i + 1)):
-                found = x
-                break
-        if found is None:
-            return None
-        comps.append(found)
+        comps.append(next(x for x in elems if solves_through(x, i)))
     return WittVector(Fe, comps)
 
 
@@ -459,14 +440,9 @@ def _embed_ff(c: FieldElement, Fe: FiniteField) -> FieldElement:
 
 
 def character_order(w: WittVector) -> int:
-    """Order of w in W_l(k)/(F-1)W_l(k) (finite base, brute force)."""
-    F = effective_tower(w.tower)
-    AS = artin_schreier_image(F, w.length)
-    for e in range(1, w.p ** w.length + 1):
-        m = w.scale_int(e)
-        if any(m == img for img in AS):
-            return e
-    raise RuntimeError("unreachable: group is p^l-torsion")
+    """Order of w in W_l(F_q)/(F-1)W_l(F_q) = Z/p^l: p^l / gcd(trace, p^l)."""
+    pl = w.p ** w.length
+    return pl // math.gcd(witt_trace(w), pl)
 
 
 def i_star(c: LogDiffClass, datum: LiftDatum,

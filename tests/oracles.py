@@ -337,6 +337,37 @@ def ghost_check(op: str, u_lift, v_lift, res_lift, p: int, l: int) -> bool:
     return True
 
 
+def all_witt_vectors(F, l: int):
+    """Every vector of W_l(F_q), by enumeration of its components."""
+    from skone.wittvec import WittVector
+    elems = list(F.elements())
+    for comps in itertools.product(elems, repeat=l):
+        yield WittVector(F, comps)
+
+
+def artin_schreier_image(F, l: int) -> list:
+    """The subgroup (F - 1) W_l(F_q) = {v^(p) - v}, by enumeration."""
+    out = []
+    for v in all_witt_vectors(F, l):
+        w = v.frobenius() - v
+        if not any(w == o for o in out):
+            out.append(w)
+    return out
+
+
+def brute_character_order(w, image: list) -> int:
+    """The least e >= 1 with e w in (F - 1) W_l, image being that subgroup."""
+    e, m = 1, w
+    while not any(m == img for img in image):
+        e, m = e + 1, m + w
+    return e
+
+
+def artin_schreier_roots(c) -> bool:
+    """x^2 + x = c has a root in c's finite field, by enumeration."""
+    return any(x * x + x == c for x in c.tower.elements())
+
+
 # --- factorisation (for kahn_bound comparison) --------------------------------
 
 def nbar_oracle(n: int) -> int:
@@ -558,3 +589,37 @@ def relative_group_oracle(A, r: int, modulus: int) -> dict:
         gcd = math.gcd(gcd, v)
     return {"order": gcd, "subgroup_gcd": gcd,
             "per_r": kclass_order(scaled(beta, r)), "generators": generators}
+
+
+# --- hyperbolicity by an idempotent search ------------------------------------
+
+def idempotent_search_oracle(sigma):
+    """Bounded search over sigma-skew z with z^2 a nonzero square lambda:
+    e = (1 + z/sqrt(lambda))/2 is then an idempotent with sigma(e) = 1 - e,
+    and sigma is hyperbolic.  Returns a HyperbolicityReport whose
+    hyperbolic is True with e as witness, or None when the search space
+    holds no such e (a search outcome, not a proof)."""
+    from skone.fields import is_nth_power
+    from skone.invariants import HyperbolicityReport
+    from skone.linalg import nullspace
+    A = sigma.algebra
+    rows = [(sigma.apply(A.basis_element(j)) + A.basis_element(j)).coords
+            for j in range(A.dim)]
+    mat = [[rows[j][i] for j in range(A.dim)] for i in range(A.dim)]
+    candidates = [A.element(z) for z in nullspace(mat, A.base)]
+    for zi in range(len(candidates)):
+        for zj in range(zi, len(candidates)):
+            for ci, cj in ((1, 1), (1, -1), (1, 2), (2, 1), (1, 0)):
+                z = candidates[zi].scale(ci) + candidates[zj].scale(cj) \
+                    if zi != zj else candidates[zi].scale(ci)
+                zz = z * z
+                lam = zz.coords[0]
+                if not (zz - A.one().scale(lam)).is_zero() or lam.is_zero():
+                    continue
+                root = is_nth_power(lam, 2)
+                if root.is_power and root.witness is not None:
+                    znorm = z.scale(root.witness.inverse())
+                    e = (A.one() + znorm).scale(Fraction(1, 2))
+                    if (e * e) == e and sigma.apply(e) == (A.one() - e):
+                        return HyperbolicityReport(True, "idempotent witness found", e)
+    return HyperbolicityReport(None, "no idempotent witness in the search space")

@@ -15,6 +15,7 @@ import pytest
 
 from oracles import (
     IntQuot,
+    all_witt_vectors,
     ghost_check,
     nbar_oracle,
     qp_ternary_solvable,
@@ -59,7 +60,6 @@ from skone.wittvec import (
     LiftDatum,
     LogDiffClass,
     WittVector,
-    all_witt_vectors,
     coh_lift_equal,
     i_star,
     kato_phi,

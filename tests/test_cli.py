@@ -80,6 +80,16 @@ def test_residue_reads_k2_of_qp_mod_a_modulus_without_its_roots_of_unity(capsys)
     assert top["group"] == "Z/2" and top["value"] == 1
 
 
+def test_residue_reads_k2_of_qp_mod_a_multiple_of_p(capsys):
+    # K_2(Q_5)/10 = mu(Q_5)/10 = Z/2: mu(Q_5) has no 5-part
+    code, doc = run_json(capsys, ["--require-certificate", "residue", "--field",
+                                  "Qp(5)((t1))((t2))", "--symbol", "{t1,t2,2,5}",
+                                  "--mod", "10", "--at", "t2,t1"])
+    assert code == EXIT_OK
+    top = doc["payload"]["top_coordinate"]
+    assert top["group"] == "Z/2" and top["value"] == 1
+
+
 def test_residue_over_q2_reads_the_square_class(capsys):
     # the class of 3 in Q_2^x/2: v = 0, eps = (3 - 1)/2 = 1, omega = (9 - 1)/8 = 1
     code, doc = run_json(capsys, ["residue", "--field", "Qp(2)((t))",
@@ -200,6 +210,10 @@ def test_invariant_kmrt(capsys):
 
 def test_unsupported_tower_exit(capsys):
     code = run(["form", "--field", "Q[zeta_4]", "diag(1,2)"])
+    assert code == EXIT_UNSUPPORTED
+    # hyperbolicity is undecided over Q[zeta_4], and so is the Witt class
+    code = run(["invariant", "kmrt", "--field", "Q[zeta_4]", "--algebra",
+                "symbol(-1;-1;2) (*) symbol(-1;3;2)", "--element", "x1"])
     assert code == EXIT_UNSUPPORTED
 
 

@@ -1,3 +1,4 @@
+import math
 import os
 import pathlib
 import random
@@ -114,6 +115,26 @@ def test_is_nth_power_exhaustive_finite_fields():
                 assert res.is_power == (str(x) in powers), (q, n, str(x))
                 if res.is_power:
                     assert (res.witness ** n) == x
+
+
+@pytest.mark.parametrize("q, ns", [(20011, (2, 3, 5, 4, 7)), (2 ** 15, (7, 31, 3, 14))])
+def test_is_nth_power_by_discrete_log_beyond_the_search_bound(q, ns):
+    # q > 20000: the witness comes from a discrete log, not a search; x is an
+    # n-th power iff x^((q-1)/d) = 1, d = gcd(n, q - 1)
+    F = FiniteField(q)
+    g = F.multiplicative_generator()
+    rng = random.Random(q)
+    seen = set()
+    for n in ns:
+        d = math.gcd(n, q - 1)
+        for k in [rng.randrange(1, 3000) for _ in range(3)] + [n * rng.randrange(1, 300)]:
+            x = g ** k
+            res = is_nth_power(x, n)
+            assert res.is_power == (x ** ((q - 1) // d)).is_one(), (q, n, k)
+            if res.is_power:
+                assert res.witness ** n == x and res.certificate == "discrete log"
+            seen.add(res.is_power)
+    assert seen == {True, False}
 
 
 def test_padic_nth_power_witnesses():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    artin_schreier_roots,
     diagonalize_gram_oracle,
     local_invariants,
     qp_ternary_solvable,
@@ -127,6 +128,25 @@ def test_arf_examples():
     assert not arf_invariant(q).is_trivial
     q = QuadraticForm(F2, (), [(1, 1), (1, 1)])
     assert arf_invariant(q).is_trivial
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 16])
+def test_arf_by_the_trace_matches_x2_plus_x_enumeration(q):
+    # Arf is trivial iff sum a_i b_i = x^2 + x has a root; the nonzero Witt
+    # class is [1, c] for the first c without one
+    F = FiniteField(q)
+    elems = list(F.elements())
+    rng = random.Random(q)
+    for c in elems:
+        assert arf_invariant(QuadraticForm(F, (), [(F.one(), c)])).is_trivial \
+            == artin_schreier_roots(c)
+    for _ in range(20):
+        blocks = [(rng.choice(elems), rng.choice(elems)) for _ in range(rng.randint(1, 3))]
+        assert arf_invariant(QuadraticForm(F, (), blocks)).is_trivial \
+            == artin_schreier_roots(sum((a * b for a, b in blocks), F.zero()))
+    first = next(c for c in elems if not artin_schreier_roots(c))
+    kernel = witt_class(QuadraticForm(F, (), [(F.one(), first), (F.one(), F.zero())])).kernel
+    assert kernel.blocks == ((F.one(), first),)
 
 
 def test_char2_pfister_and_witt():
@@ -314,6 +334,14 @@ def test_witt_class_against_local_invariants(diag):
 def test_witt_class_box_search_gap():
     witt_class(QuadraticForm(Q, [2, 60, -14, 4, -14, 12, 2, -14, 2, -14, 2, 12, -24,
                                  -8, -8, -120, 20, 4, 20, 60, 2, -120, -40, -24, -40]))
+
+
+@pytest.mark.xfail(strict=True, raises=Undecided,
+                   reason="ROADMAP item 4: 9<1> _|_ 8<-7> has no isotropic subform of "
+                          "dimension 3 or 4, and its support-5 zeros lie past the "
+                          "cost gate of _witness_search's ladder")
+def test_witt_class_box_search_gap_no_small_isotropic_subform():
+    witt_class(QuadraticForm(Q, [1] * 9 + [-7] * 8))
 
 
 @st.composite

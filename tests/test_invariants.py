@@ -4,13 +4,20 @@ import pytest
 
 from fractions import Fraction
 
-from oracles import diagonalize_gram_oracle, kmrt_v_defect, nbar_oracle
+from oracles import (
+    diagonalize_gram_oracle,
+    idempotent_search_oracle,
+    kmrt_v_defect,
+    nbar_oracle,
+)
 from skone.algebras import (
+    canonical_involution,
     commutator,
     is_division_biquaternion,
     random_invertible,
     symbol_algebra,
     tensor,
+    tensor_involution,
     trp,
 )
 from skone.errors import InconsistentConstruction, PrecisionExhausted
@@ -19,7 +26,6 @@ from skone.forms import witt_equal_mod_i4
 from skone.invariants import (
     HyperbolicityReport,
     PlatonovConfig,
-    _idempotent_search,
     _phi_form,
     _q_sigma,
     _symd0_parts,
@@ -331,7 +337,7 @@ def test_hyperbolicity_decision_matches_idempotent_search(field, slots):
         assert decided.hyperbolic in (True, False) and decided.witness is None
         assert "KMRT" in decided.provenance
         try:
-            found = _idempotent_search(sigma)
+            found = idempotent_search_oracle(sigma)
         except PrecisionExhausted:
             # over Q_p the search's square roots are approximate, and its
             # products can cancel below the working precision
@@ -343,6 +349,23 @@ def test_hyperbolicity_decision_matches_idempotent_search(field, slots):
             # no e with e^2 = e and sigma(e) = 1 - e in the search space
             assert found.hyperbolic is None
     assert searched
+
+
+def test_hyperbolicity_outside_the_kmrt_domain_is_none():
+    # an orthogonal involution is outside the section 16 criterion: no search
+    # runs, the report says why
+    A = tensor(symbol_algebra(Q, -1, -1, 2), symbol_algebra(Q, -1, 3, 2))
+    orth = tensor_involution(A, canonical_involution(A.tag.left),
+                             canonical_involution(A.tag.right))
+    assert orth.kind() == "orthogonal"
+    rep = hyperbolicity_check(orth)
+    assert rep.hyperbolic is None and rep.witness is None
+    assert "symplectic involution of degree 4" in rep.provenance
+    # where q_sigma's isotropy is not supported the report is None as well
+    Z = parse_field("Q[zeta_4]")
+    B = tensor(symbol_algebra(Z, -1, -1, 2), symbol_algebra(Z, -1, 3, 2))
+    rep = hyperbolicity_check(make_symplectic_involution(B))
+    assert rep.hyperbolic is None and "isotropy of q_sigma" in rep.provenance
 
 
 def test_hyperbolicity_decision_on_a_division_algebra():

@@ -320,13 +320,12 @@ def test_relative_group_matches_the_normalising_oracle():
 
 def test_k2_of_qp_mod_m_is_read_mod_gcd_m_p_minus_1():
     # Moore: K_2(Q_p)/m = mu(Q_p)/m = Z/d, d = gcd(m, p - 1), for p not
-    # dividing m; the coordinate is the pairing mod d
+    # dividing m, and for odd p | m since mu(Q_p) has no p-part; the
+    # coordinate is the pairing mod d
     rng = random.Random(37)
     for p in (3, 5, 7, 11, 13):
         K = PAdicDescriptor(p)
-        for m in range(3, 9):
-            if m % p == 0:
-                continue
+        for m in sorted({m for m in range(3, 9) if m % p} | {p, 2 * p, 3 * p}):
             d = math.gcd(m, p - 1)
             for _ in range(12):
                 x, y = _qp_rationals(p, rng, 2)
@@ -337,6 +336,11 @@ def test_k2_of_qp_mod_m_is_read_mod_gcd_m_p_minus_1():
                 want = 0 if d == 1 else hilbert_pairing(K.elem(x), K.elem(y), d)
                 assert rec.group == f"Z/{d}" and value == want, (p, m, x, y)
     assert not kclass_is_zero(symbol(PAdicDescriptor(7), [3, 7], 4))
+    rec = top_coordinate(symbol(PAdicDescriptor(5), [2, 5], 10))
+    assert rec.group == "Z/2" and rec.value == 1
+    # over Q_2 an even m != 2 stays undecided: mu(Q_2) = {+-1}
+    with pytest.raises(Undecided):
+        top_coordinate(symbol(PAdicDescriptor(2), [3, 2], 4))
 
 
 def test_evaluator_degree_rules():

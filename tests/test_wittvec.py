@@ -3,7 +3,14 @@ import random
 
 import pytest
 
-from oracles import IntQuot, ghost_check, sympy_witt_polynomials
+from oracles import (
+    IntQuot,
+    all_witt_vectors,
+    artin_schreier_image,
+    brute_character_order,
+    ghost_check,
+    sympy_witt_polynomials,
+)
 from skone.algebras import p_algebra, symbol_algebra, tensor
 from skone.fields import FiniteField, Rationals, parse_field
 from skone.wittvec import (
@@ -11,7 +18,6 @@ from skone.wittvec import (
     LiftDatum,
     LogDiffClass,
     WittVector,
-    all_witt_vectors,
     character_order,
     coh_lift_equal,
     i_star,
@@ -21,6 +27,7 @@ from skone.wittvec import (
     r_coh_list,
     truncate,
     universal_witt_polynomials,
+    witt_trace,
     witt_zero,
 )
 
@@ -155,7 +162,6 @@ def test_logdiff_relators():
 def test_h_q_plus_one_of_finite_fields():
     # degree-0 part: k / P(k); over F_2 the Artin-Schreier image is {0}
     F2 = FiniteField(2)
-    from skone.wittvec import artin_schreier_image
     img = artin_schreier_image(F2, 1)
     assert [str(w) for w in img] == ["(0)"]
     # q >= 1: every generator with a slot is killed over F_2 (only unit is 1)
@@ -284,3 +290,43 @@ def test_character_orders():
     assert character_order(WittVector(F2, [1, 0])) == 4
     assert character_order(WittVector(F2, [0, 1])) == 2
     assert character_order(WittVector(F2, [0, 0])) == 1
+
+
+WITT_FIELDS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2),
+               (9, 1), (9, 2), (5, 2), (8, 2)]
+
+
+@pytest.mark.parametrize("q,l", WITT_FIELDS)
+def test_witt_trace_decides_the_artin_schreier_image(q, l):
+    # W_l(F_q)/(F - 1)W_l(F_q) = Z/p^l through the trace: w is in the
+    # enumerated image iff its trace is 0 (so relator (iii) kills w (x) 1),
+    # its order is p^l/gcd(trace, p^l), and the trace is additive
+    F = FiniteField(q)
+    pl = F.p ** l
+    image = artin_schreier_image(F, l)
+    assert len(image) * pl == q ** l
+    vectors = list(all_witt_vectors(F, l))
+    for k, w in enumerate(vectors):
+        in_image = any(w == img for img in image)
+        assert (witt_trace(w) == 0) == in_image, w
+        assert LogDiffClass(F, l, 0, [(w, ())]).is_syntactically_zero() == in_image
+        if k < 40:
+            assert character_order(w) == brute_character_order(w, image), w
+            u = vectors[-1 - k]
+            assert witt_trace(w + u) == (witt_trace(w) + witt_trace(u)) % pl, (w, u)
+
+
+@pytest.mark.parametrize("q,l,order,field", [(3, 1, 3, "F(27)"), (2, 3, 8, "F(256)")])
+def test_i_star_solves_over_the_degree_of_the_order(q, l, order, field):
+    # characters of order 3 and 8 split over F(27) and F(256): the
+    # extension degree is the order, whatever the prime
+    F = FiniteField(q)
+    datum = LiftDatum(F, parse_field(f"Qp({F.p})"))
+    w = WittVector(F, [1] + [0] * (l - 1))
+    img = i_star(LogDiffClass(F, l, 0, [(w, ())]), datum)
+    assert len(img) == 1
+    ch = img[0].character
+    assert ch.order == order and str(ch.solution_field) == field
+    E = ch.solution_field
+    lifted_w = WittVector(E, [E.elem(int(str(c))) for c in ch.w.components])
+    assert ch.solution.frobenius() - ch.solution == lifted_w
