@@ -8,13 +8,19 @@ Artin-Schreier cyclic algebras, and the twisted quaternion presentations
 used by the characteristic-2 lift.
 
 Multiplication tables are associative by construction, so no table is
-re-verified at build time.  A cyclic presentation checks its defining
-relations instead: sigma(u) is a root of f (so u -> sigma(u) extends to a
-ring endomorphism of K), sigma^n(u) = u, and b is a nonzero element of the
-base (so sigma fixes it).  Together they make K[v; sigma]/(v^n - b) an
-associative unital algebra with basis u^r v^s.  A tensor product of two
-associative tables is associative.  The exhaustive basis-triple check is a
-test oracle (tests/oracles.py, ``associativity_defect``).
+re-verified at build time.  A symbol algebra (a, b)_n is written in closed
+form: with x^n = a, y^n = b and y x = zeta^{-1} x y,
+(x^r1 y^s1)(x^r2 y^s2) = zeta^{-s1 r2} a^[r1+r2 >= n] b^[s1+s2 >= n]
+x^(r1+r2 mod n) y^(s1+s2 mod n), so it checks a != 0, b != 0 and that zeta
+is a primitive n-th root of unity, and its table is built on first use.  The
+other cyclic presentations (p-algebras and the twisted lift) check their
+defining relations instead: sigma(u) is a root of f (so u -> sigma(u)
+extends to a ring endomorphism of K), sigma^n(u) = u, and b is a nonzero
+element of the base (so sigma fixes it).  Together they make
+K[v; sigma]/(v^n - b) an associative unital algebra with basis u^r v^s.  A
+tensor product of two associative tables is associative, and is built on
+first use too.  The exhaustive basis-triple check is a test oracle
+(tests/oracles.py, ``associativity_defect``).
 
 Involutions are built by construction too, and not re-verified: the
 canonical involution z -> Trd(z) - z of a degree-2 algebra, the tensor
@@ -45,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InconsistentConstruction, NonInvertibleElement, UnsupportedTower
-from .fields import FieldElement, FieldTower, primitive_root_of_unity
+from .fields import FieldElement, FieldTower, factorize, primitive_root_of_unity
 from .linalg import berkowitz_charpoly, identity, mat_mul, rref, solve
 from .poly import Poly, QuotElt, QuotientRing, monic_sqrt_char2, power, scalar_of
 
@@ -187,7 +193,7 @@ class AlgebraPresentation:
         self.gens = gens or {}
         self.period_bound = degree
         # caches
-        self._cyclic = None          # (K, Lu, Lv, ext_deg, n) regular rep data
+        self._cyclic = None          # (K, (Lu, Lv), ext_deg, n) regular rep data
         self._monomial_mats = None
         self._trd_basis = None
         self._trace_form = None
@@ -266,7 +272,7 @@ class AlgebraPresentation:
                 for i2, m2 in rmats.items():
                     mats[i1 * self.tag.right.dim + i2] = _kron(L1, m2, K)
         else:
-            K, Lu, Lv, ext_deg, n = self._cyclic
+            K, (Lu, Lv), ext_deg, n = self._cyclic
             pu = identity(K, n)
             for r in range(ext_deg):
                 pv = pu
@@ -475,6 +481,9 @@ def _cyclic_presentation(base: FieldTower, ext_modulus, sigma_u, n: int,
                          b: FieldElement, tag, gen_names=("x", "y")):
     """Generic cyclic presentation: K = base[u]/(f), v^n = b, v c = sigma(c) v.
 
+    It builds `p_algebra` and `twisted_lift_quaternion`; for symbol algebras,
+    which `symbol_algebra` writes in closed form, it is the test oracle.
+
     ext_modulus: coefficients of the monic f below the leading term.
     sigma_u: image of u under sigma, as a K-coefficient vector over base.
 
@@ -519,16 +528,7 @@ def _cyclic_presentation(base: FieldTower, ext_modulus, sigma_u, n: int,
         raise InconsistentConstruction("sigma does not have order dividing n")
 
     dim = ext_deg * n
-    labels = []
     uname, vname = gen_names
-    for r in range(ext_deg):
-        for s in range(n):
-            bits = []
-            if r:
-                bits.append(uname if r == 1 else f"{uname}^{r}")
-            if s:
-                bits.append(vname if s == 1 else f"{vname}^{s}")
-            labels.append("*".join(bits) if bits else "1")
 
     # structure constants: (u^r1 v^s1)(u^r2 v^s2) = u^r1 sigma^s1(u)^r2 [b] v^(s1+s2 mod n)
     table = [[None] * dim for _ in range(dim)]
@@ -558,39 +558,104 @@ def _cyclic_presentation(base: FieldTower, ext_modulus, sigma_u, n: int,
                             entries.append((rr * n + s, comp))
                     table[i][j] = entries
 
-    alg = AlgebraPresentation(base, labels, table, tag, degree=max(n, ext_deg),
+    alg = AlgebraPresentation(base, _monomial_labels(ext_deg, n, uname, vname),
+                              table, tag, degree=max(n, ext_deg),
                               gens={uname: n if ext_deg > 1 else 0, vname: 1})
-    # regular representation data: Lu = diag(sigma^{-j}(u)), Lv = shift with corner b
-    inv_spows = [spows[(-j) % n] for j in range(n)]
+    # Lu = diag(sigma^{-j}(u))
+    alg._cyclic = (K, _regular_rep(K, [spows[(-j) % n] for j in range(n)], b),
+                   ext_deg, n)
+    return alg
+
+
+def _monomial_labels(ext_deg: int, n: int, uname: str, vname: str) -> list[str]:
+    """Labels of the basis u^r v^s, index r * n + s."""
+    labels = []
+    for r in range(ext_deg):
+        for s in range(n):
+            bits = []
+            if r:
+                bits.append(uname if r == 1 else f"{uname}^{r}")
+            if s:
+                bits.append(vname if s == 1 else f"{vname}^{s}")
+            labels.append("*".join(bits) if bits else "1")
+    return labels
+
+
+def _regular_rep(K: QuotientRing, diag, b: FieldElement):
+    """(Lu, Lv) of the regular representation over K: Lu = diag(diag), and
+    Lv the shift with corner b."""
+    n = len(diag)
     Lu = [[K.zero() for _ in range(n)] for _ in range(n)]
     for j in range(n):
-        Lu[j][j] = inv_spows[j]
+        Lu[j][j] = diag[j]
     Lv = [[K.zero() for _ in range(n)] for _ in range(n)]
     for j in range(n - 1):
         Lv[j + 1][j] = K.one()
     Lv[0][n - 1] = K.coerce(b)
-    alg._cyclic = (K, Lu, Lv, ext_deg, n)
-    return alg
+    return Lu, Lv
 
 
 def symbol_algebra(base: FieldTower, a, b, n: int,
                    zeta: FieldElement | None = None) -> AlgebraPresentation:
-    """(a,b)_n: x^n = a, y^n = b, x y = zeta y x."""
+    """(a,b)_n: x^n = a, y^n = b, x y = zeta y x, for a primitive n-th root
+    of unity zeta (the first one `primitive_root_of_unity` finds by default).
+
+    Written in closed form (see the module docstring): K = base[x]/(x^n - a)
+    with sigma(x) = zeta^{-1} x, whose relations f(sigma(x)) = 0 and
+    sigma^n(x) = x both amount to zeta^n = 1.  The table is built on first
+    use; the regular representation Lu = diag(zeta^j x), Lv = the shift with
+    corner b is set at once, without a product in K."""
     a = base.elem(a)
     b = base.elem(b)
     if a.is_zero():
         raise InconsistentConstruction("symbol algebra slot a must be nonzero")
+    if b.is_zero():
+        raise InconsistentConstruction("cyclic algebra slot b must be nonzero")
     if zeta is None:
         zeta, reason = primitive_root_of_unity(base, n)
         if zeta is None:
             raise InconsistentConstruction(
                 f"no primitive {n}-th root of unity in {base}: {reason}")
-    # K = base[x]/(x^n - a), sigma(x) = zeta^{-1} x (so that y x = sigma(x) y)
-    ext_modulus = [-a] + [base.zero()] * (n - 1)
-    zinv = zeta.inverse()
-    sigma_u = [base.zero(), zinv]
-    alg = _cyclic_presentation(base, ext_modulus, sigma_u, n, b,
-                               SymbolTag(a, b, n, zeta), gen_names=("x", "y"))
+    zeta = base.elem(zeta)
+    zpow = [base.one()]
+    for _ in range(n):
+        zpow.append(zpow[-1] * zeta)
+    if not zpow[n].is_one():
+        raise InconsistentConstruction(f"zeta = {zeta} is not an {n}-th root of unity")
+    if any(zpow[n // ell].is_one() for ell in factorize(n)):
+        raise InconsistentConstruction(
+            f"zeta = {zeta} is not a primitive {n}-th root of unity")
+    K = QuotientRing(base, [-a] + [base.zero()] * (n - 1))
+
+    def build_table():
+        # coeffs[k][w]: zeta^{-k} times 1, a, b, ab for the wrap pattern w
+        ab = a * b
+        coeffs = [[z * c for c in (zpow[0], a, b, ab)]
+                  for z in [zpow[(n - k) % n] for k in range(n)]]
+        table = []
+        for r1 in range(n):
+            for s1 in range(n):
+                row = []
+                for r2 in range(n):
+                    wrap_a = r1 + r2 >= n
+                    r = r1 + r2 - n * wrap_a
+                    coeff_row = coeffs[s1 * r2 % n]
+                    for s2 in range(n):
+                        wrap_b = s1 + s2 >= n
+                        s = s1 + s2 - n * wrap_b
+                        c = coeff_row[wrap_a + 2 * wrap_b]
+                        row.append([] if c.is_zero() else [(r * n + s, c)])
+                table.append(row)
+        return table
+
+    zero = base.zero()
+    diag = [K.gen()] + [QuotElt(K, [zero, zpow[j]] + [zero] * (n - 2))
+                        for j in range(1, n)]
+    alg = AlgebraPresentation(base, _monomial_labels(n, n, "x", "y"), None,
+                              SymbolTag(a, b, n, zeta), degree=n,
+                              gens={"x": n if n > 1 else 0, "y": 1},
+                              table_factory=build_table)
+    alg._cyclic = (K, _regular_rep(K, diag, b), n, n)
     alg.period_bound = n
     return alg
 

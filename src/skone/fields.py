@@ -1154,6 +1154,9 @@ def _finite_nth_power(x: FieldElement, n: int) -> PowerResult:
     d = math.gcd(n, order)
     if not (x ** (order // d)).is_one():
         return PowerResult(False, None, f"x^((q-1)/{d}) != 1")
+    if d == 1:
+        # y -> y^n is a bijection of F_q^x; its inverse is y -> y^(n^-1 mod q-1)
+        return PowerResult(True, x ** pow(n, -1, order), "x^(n^-1 mod (q-1))")
     # witness by deterministic search (fields in scope are small)
     if F.q <= 20000:
         for y in F.elements():

@@ -569,10 +569,6 @@ class WittClass:
         self.hyperbolic_rank = hyperbolic_rank
         self.provenance = provenance
 
-    @property
-    def dim_mod2(self) -> int:
-        return self.kernel.dim % 2
-
     def is_zero(self) -> bool:
         return self.kernel.dim == 0
 

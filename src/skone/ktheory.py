@@ -194,7 +194,39 @@ def _normalize_pure(tower, slots, modulus):
 # tame residues
 # ---------------------------------------------------------------------------
 
-def tame_residue(c: KClass, var: str | None = None) -> KClass:
+class SlotSplits:
+    """The (valuation, unit residue) of each slot along its Laurent level,
+    from one `laurent_split` per slot.
+
+    Keyed by the identity of the level and the slot, not by value: a slot
+    object is split once however many terms carry it, and no field equality
+    or hash runs.  The memo holds both objects, so their ids are not reused
+    while it lives.  `minus_one(L)` is one -1 per residue field, so that the
+    -1 slots the {t, t} reduction writes are split once as well.  One memo
+    can serve many classes (`relative_group` reads all its lifts through
+    one), since each lead it returns is the same object every time."""
+
+    def __init__(self):
+        self._memo = {}
+        self._minus_one = {}
+
+    def __call__(self, L: LaurentExt, s: FieldElement) -> tuple[int, FieldElement]:
+        key = (id(L), id(s))
+        hit = self._memo.get(key)
+        if hit is None:
+            sp = laurent_split(L.elem(s))
+            hit = self._memo[key] = (L, s, sp.valuation, sp.unit)
+        return hit[2], hit[3]
+
+    def minus_one(self, L: LaurentExt) -> FieldElement:
+        hit = self._minus_one.get(id(L))
+        if hit is None:
+            hit = self._minus_one[id(L)] = (L, L.base.elem(-1))
+        return hit[1]
+
+
+def tame_residue(c: KClass, var: str | None = None,
+                 splits: SlotSplits | None = None) -> KClass:
     """Residue along the outermost Laurent variable; degree drops by one."""
     L = effective_tower(c.tower)
     if not isinstance(L, LaurentExt):
@@ -202,38 +234,33 @@ def tame_residue(c: KClass, var: str | None = None) -> KClass:
     if var is not None and L.var != var:
         raise InconsistentConstruction(
             f"residue variable {var!r} is not the outermost variable {L.var!r}")
-    return KClass(L.base, c.degree - 1, c.modulus, _residue_terms(L, c))
+    return KClass(L.base, c.degree - 1, c.modulus,
+                  _residue_terms(L, c, splits or SlotSplits()))
 
 
-def _residue_terms(L: LaurentExt, c: KClass):
+def _residue_terms(L: LaurentExt, c: KClass, splits: SlotSplits):
     """The terms of the residue of c along L, as they stand (not normalised)."""
     return [(cf, slots) for coeff, pure in c.terms
-            for cf, slots in _residue_of_pure(L, coeff, pure, c.modulus) if cf]
+            for cf, slots in _residue_of_pure(L, coeff, pure, c.modulus, splits) if cf]
 
 
-def unit_reduction(c: KClass) -> KClass:
+def unit_reduction(c: KClass, splits: SlotSplits | None = None) -> KClass:
     """The unit-part projection: drop {t,...} components, reduce unit slots."""
     L = effective_tower(c.tower)
     if not isinstance(L, LaurentExt):
         raise UnsupportedTower("unit_reduction expects a Laurent-extension class")
-    out_terms = []
-    for coeff, slots in c.terms:
-        data = [_slot_split(L, s) for s in slots]
-        # the S = (empty set) piece of the multilinear expansion: every slot
-        # t^v u(1+w) contributes its unit residue u-bar
-        out_terms.append((coeff, tuple(lead for _, lead in data)))
-    return KClass(L.base, c.degree, c.modulus, out_terms)
+    splits = splits or SlotSplits()
+    # the S = (empty set) piece of the multilinear expansion: every slot
+    # t^v u(1+w) contributes its unit residue u-bar
+    return KClass(L.base, c.degree, c.modulus,
+                  [(coeff, tuple(splits(L, s)[1] for s in slots))
+                   for coeff, slots in c.terms])
 
 
-def _slot_split(L: LaurentExt, s: FieldElement):
-    sp = laurent_split(L.elem(s))
-    return sp.valuation, sp.unit
-
-
-def _residue_of_pure(L: LaurentExt, coeff, slots, modulus):
+def _residue_of_pure(L: LaurentExt, coeff, slots, modulus, splits: SlotSplits):
     """Residue of coeff * {slots}: multilinear expansion, {t,t} reduction."""
-    data = [_slot_split(L, s) for s in slots]
-    minus_one = L.base.elem(-1)
+    data = [splits(L, s) for s in slots]
+    minus_one = splits.minus_one(L)
     out = []
     val_positions = [i for i, (v, _) in enumerate(data) if v != 0]
     for size in range(1, len(val_positions) + 1):
@@ -457,7 +484,7 @@ def _symbol_class(c: CohClass | KClass) -> KClass:
     return c
 
 
-def _leaves(k: KClass, names=()):
+def _leaves(k: KClass, splits: SlotSplits, names=()):
     """The 2^s leaves of the residue tree of k over an s-fold Laurent tower,
     as (residue variables, class over the residue base): at each variable,
     outermost first, the unit reduction and then the residue."""
@@ -465,48 +492,53 @@ def _leaves(k: KClass, names=()):
     if not isinstance(L, LaurentExt):
         yield names, k
         return
-    yield from _leaves(unit_reduction(k), names)
-    yield from _leaves(tame_residue(k), names + (L.var,))
+    yield from _leaves(unit_reduction(k, splits), splits, names)
+    yield from _leaves(tame_residue(k, splits=splits), splits, names + (L.var,))
 
 
 def coh_coordinates(c: CohClass | KClass) -> list[CoordinateRecord]:
     """The 2^s iterated-residue coordinates of a symbol-backed class over an
     s-fold Laurent tower on F_q or Q_p, by subset size, then in tower order."""
-    leaves = list(_leaves(_symbol_class(c)))
+    leaves = list(_leaves(_symbol_class(c), SlotSplits()))
     order = leaves[-1][0]  # every variable, outermost first
     leaves.sort(key=lambda leaf: (len(leaf[0]), [order.index(v) for v in leaf[0]]))
     return [_evaluate_base_class(leaf, names) for names, leaf in leaves]
 
 
-def top_coordinate(c: CohClass | KClass) -> CoordinateRecord:
+def top_coordinate(c: CohClass | KClass,
+                   splits: SlotSplits | None = None) -> CoordinateRecord:
     """The coordinate of the residue along every Laurent variable.  The terms
     are read as they stand: residues and base coordinates are symbol maps,
-    so a relator term the normaliser would drop contributes 0."""
+    so a relator term the normaliser would drop contributes 0.  Classes
+    that share slots can share one `SlotSplits`, so each slot is split once
+    at each level."""
     k = _symbol_class(c)
+    splits = splits or SlotSplits()
     names = ()
     while isinstance(L := effective_tower(k.tower), LaurentExt):
-        k = KClass(L.base, k.degree - 1, k.modulus, _residue_terms(L, k),
+        k = KClass(L.base, k.degree - 1, k.modulus, _residue_terms(L, k, splits),
                    normalized=True)
         names += (L.var,)
     return _evaluate_base_class(k, names)
 
 
-def kclass_is_zero(c: KClass) -> bool:
+def kclass_is_zero(c: KClass, splits: SlotSplits | None = None) -> bool:
     """Certified zero test: every residue coordinate of c is zero, a
     syntactically zero one on any tower.  Raises Undecided for a wild
     modulus, UnsupportedTower off F_q and Q_p."""
     if not c.terms:
         return True
     return all(not leaf.terms or _is_zero_value(_evaluate_base_class(leaf, names).value)
-               for names, leaf in _leaves(_symbol_class(c)))
+               for names, leaf in _leaves(_symbol_class(c), splits or SlotSplits()))
 
 
-def kclass_order(c: KClass) -> int:
+def kclass_order(c: KClass, splits: SlotSplits | None = None) -> int:
     """Order of c in K/m (smallest e | m with e*c = 0), certified."""
+    splits = splits or SlotSplits()
     for e in range(1, c.modulus + 1):
         if c.modulus % e:
             continue
-        if kclass_is_zero(c.scale(e)):
+        if kclass_is_zero(c.scale(e), splits):
             return e
     return c.modulus
 
@@ -591,15 +623,18 @@ def field_generators_mod_m(T: FieldTower, m: int) -> list[FieldElement]:
 def relative_group(A, r: int, modulus: int) -> RelativeGroup:
     """H^4_{modulus, A^(x r)} over a 2-fold Laurent tower on a tame p-adic base,
     computed through iterated residues and the Hilbert pairing.  Each lift
-    {g, h, a, b} is read by `top_coordinate` without normalising it."""
+    {g, h, a, b} is read by `top_coordinate` without normalising it, and all
+    lifts share one `SlotSplits`: each generator and Brauer slot, and each
+    unit residue of them, is split once per call at each level."""
     T = A.base
     beta = brauer_symbol_of(A)          # [A] in K_2 / n
     n = beta.modulus
     if modulus % n:
         raise InconsistentConstruction(
             f"modulus {modulus} must be divisible by the symbol degree {n}")
+    splits = SlotSplits()
     # per(A^(x r)) = order of r * beta in K_2/n
-    per_r = kclass_order(beta.scale(r))
+    per_r = kclass_order(beta.scale(r), splits)
     gens = field_generators_mod_m(T, modulus)
     values = []
     gen_info = []
@@ -613,7 +648,7 @@ def relative_group(A, r: int, modulus: int) -> RelativeGroup:
                 if not c:
                     continue
                 rec = top_coordinate(KClass(T, 4, modulus, [(c, (g, h, a, b))],
-                                            normalized=True))
+                                            normalized=True), splits)
                 val = rec.value
                 if isinstance(val, BrauerCoordinate):
                     val = int(val.value * modulus) % modulus

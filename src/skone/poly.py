@@ -154,9 +154,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1].is_one()
-
     def __getitem__(self, i: int) -> FieldElement:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]

@@ -177,10 +177,6 @@ def witt_add(u: WittVector, v: WittVector) -> WittVector:
     return u + v
 
 
-def witt_mul(u: WittVector, v: WittVector) -> WittVector:
-    return u * v
-
-
 def witt_neg(u: WittVector) -> WittVector:
     return -u
 
@@ -285,12 +281,6 @@ class LogDiffClass:
     def __neg__(self):
         return LogDiffClass(self.tower, self.length, self.q,
                             [(-w, s) for w, s in self.terms])
-
-    def kmilnor_mult(self, xs) -> "LogDiffClass":
-        """Scalar multiplication by a pure Milnor symbol: prepend its slots."""
-        xs = [self.tower.elem(x) for x in xs]
-        return LogDiffClass(self.tower, self.length, self.q + len(xs),
-                            [(w, tuple(xs) + s) for w, s in self.terms])
 
     def is_syntactically_zero(self) -> bool:
         return not self.terms

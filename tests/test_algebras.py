@@ -24,7 +24,13 @@ from skone.algebras import (
     twisted_lift_quaternion,
 )
 from skone.errors import InconsistentConstruction, PrecisionExhausted
-from skone.fields import FiniteField, PAdicDescriptor, Rationals, parse_field
+from skone.fields import (
+    FiniteField,
+    PAdicDescriptor,
+    Rationals,
+    parse_field,
+    primitive_root_of_unity,
+)
 from skone.linalg import berkowitz_charpoly
 from skone.poly import Poly
 
@@ -525,3 +531,93 @@ def test_degree7_symbol_relations():
     assert x ** 7 == A.coerce(2)
     assert y ** 7 == A.coerce(3)
     assert x * y == (y * x).scale(A.tag.zeta)
+
+
+def _symbol_oracle(base, a, b, n, zeta):
+    """(a, b)_n through the generic cyclic presentation: K = base[x]/(x^n - a),
+    sigma(x) = zeta^{-1} x, with its relation checks and K-products."""
+    return _cyclic_presentation(base, [-a] + [base.zero()] * (n - 1),
+                                [base.zero(), zeta.inverse()], n, b, tag=None)
+
+
+def _slot(T, s):
+    from skone.ktheory import laurent_var_element
+    return laurent_var_element(T, s) if isinstance(s, str) else T.elem(s)
+
+
+@pytest.mark.parametrize("desc, n, a, b", [
+    ("Q", 2, 2, -3),
+    ("Q[zeta_3]", 2, 5, 7),
+    ("Q[zeta_3]", 3, 2, 5),
+    ("Q[zeta_5]", 2, -1, 3),
+    ("Q[zeta_5]", 5, 2, 3),
+    ("F(7)", 2, 3, 5),
+    ("F(7)", 3, 3, 5),
+    ("Qp(17)((t1))((t2))", 2, 3, "t1"),
+    ("Qp(17)((t1))((t2))", 2, 17, "t2"),
+    ("Qp(109)[zeta_9]((t1))((t2))", 2, 6, "t1"),
+    ("Qp(109)[zeta_9]((t1))((t2))", 3, 6, "t1"),
+    ("Qp(109)[zeta_9]((t1))((t2))", 3, 109, "t2"),
+    ("Qp(251)[zeta_25]((t1))((t2))", 2, "t2", 6),
+    ("Qp(251)[zeta_25]((t1))((t2))", 5, 6, "t1"),
+    ("Qp(251)[zeta_25]((t1))((t2))", 5, 251, "t2"),
+])
+def test_closed_form_symbol_matches_the_cyclic_presentation(desc, n, a, b):
+    # every table entry and the regular representation (Lu, Lv) over K,
+    # against the generic builder
+    T = parse_field(desc)
+    a, b = _slot(T, a), _slot(T, b)
+    zeta, _ = primitive_root_of_unity(T, n)
+    A = symbol_algebra(T, a, b, n, zeta)
+    assert A._table is None
+    want = _symbol_oracle(T, a, b, n, zeta)
+    assert (A.labels, A.gens, A.degree) == (want.labels, want.gens, want.degree)
+    for i in range(A.dim):
+        for j in range(A.dim):
+            got, exp = A.table[i][j], want.table[i][j]
+            assert [k for k, _ in got] == [k for k, _ in exp], (i, j)
+            assert all(c == d for (_, c), (_, d) in zip(got, exp)), (i, j)
+    K, (Lu, Lv), ext_deg, m = A._cyclic
+    K_want, (Lu_want, Lv_want), ext_deg_want, m_want = want._cyclic
+    assert (ext_deg, m) == (ext_deg_want, m_want)
+    assert all(c == d for c, d in zip(K.modulus, K_want.modulus))
+    for M, M_want in ((Lu, Lu_want), (Lv, Lv_want)):
+        for row, row_want in zip(M, M_want):
+            for e, e_want in zip(row, row_want):
+                assert all(c == d for c, d in zip(e.vec, e_want.vec))
+
+
+def test_symbol_algebra_needs_a_primitive_root_of_unity():
+    # zeta = 1 would make (2, 3)_2 commutative
+    with pytest.raises(InconsistentConstruction, match="primitive"):
+        symbol_algebra(Q, 2, 3, 2, zeta=Q.one())
+    Qz = parse_field("Q[zeta_3]")
+    with pytest.raises(InconsistentConstruction, match="3-th root of unity"):
+        symbol_algebra(Qz, 2, 3, 3, zeta=Qz.elem(2))
+    zeta3, _ = primitive_root_of_unity(Qz, 3)
+    # zeta_3^6 = 1, but zeta_3^(6/2) = 1 too
+    with pytest.raises(InconsistentConstruction, match="primitive"):
+        symbol_algebra(Qz, 2, 3, 6, zeta=zeta3)
+    assert symbol_algebra(Qz, 2, 3, 6, zeta=-zeta3).tag.zeta == -zeta3
+
+
+@pytest.mark.parametrize("n, p, a", [(2, 17, 3), (3, 109, 6)])
+def test_platonov_pipeline_builds_no_symbol_table(monkeypatch, capsys, n, p, a):
+    # the pipeline reads tags, Brauer classes and residues, never a table
+    import pathlib
+    import runpy
+
+    import skone.algebras
+    script = pathlib.Path(__file__).parents[1] / "scripts" / "platonov_demo.py"
+    run_one = runpy.run_path(str(script), run_name="platonov_demo")["run_one"]
+    built = []
+
+    def recording(*args, **kwargs):
+        built.append(symbol_algebra(*args, **kwargs))
+        return built[-1]
+    monkeypatch.setattr(skone.algebras, "symbol_algebra", recording)
+    monkeypatch.setitem(run_one.__globals__, "symbol_algebra", recording)
+    run_one(n, p, a)
+    assert "SK1(A) = Z/" in capsys.readouterr().out
+    assert len(built) == (6 if n == 2 else 2)
+    assert all(A._table is None for A in built)

@@ -119,8 +119,9 @@ def test_is_nth_power_exhaustive_finite_fields():
 
 @pytest.mark.parametrize("q, ns", [(20011, (2, 3, 5, 4, 7)), (2 ** 15, (7, 31, 3, 14))])
 def test_is_nth_power_by_discrete_log_beyond_the_search_bound(q, ns):
-    # q > 20000: the witness comes from a discrete log, not a search; x is an
-    # n-th power iff x^((q-1)/d) = 1, d = gcd(n, q - 1)
+    # q > 20000: x is an n-th power iff x^((q-1)/d) = 1, d = gcd(n, q - 1);
+    # the witness comes from a discrete log, not a search, or for d = 1
+    # (n = 7 at q = 20011, n = 3 at q = 2^15) it is x^(n^-1 mod (q-1))
     F = FiniteField(q)
     g = F.multiplicative_generator()
     rng = random.Random(q)
@@ -132,9 +133,24 @@ def test_is_nth_power_by_discrete_log_beyond_the_search_bound(q, ns):
             res = is_nth_power(x, n)
             assert res.is_power == (x ** ((q - 1) // d)).is_one(), (q, n, k)
             if res.is_power:
-                assert res.witness ** n == x and res.certificate == "discrete log"
+                assert res.witness ** n == x
+                assert res.certificate == ("discrete log" if d > 1
+                                           else "x^(n^-1 mod (q-1))")
             seen.add(res.is_power)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("q, n", [(2 ** 14, 2), (2 ** 15, 3), (20011, 7), (49, 5)])
+def test_nth_root_prime_to_q_minus_one_is_an_inverse_power(q, n):
+    # gcd(n, q - 1) = 1: every x is an n-th power, with the unique root
+    # x^(n^-1 mod (q-1)); no search and no discrete log
+    F = FiniteField(q)
+    g = F.multiplicative_generator()
+    rng = random.Random(q + n)
+    for x in [F.one(), g] + [g ** rng.randrange(2, q - 1) for _ in range(4)]:
+        res = is_nth_power(x, n)
+        assert res.is_power and res.certificate == "x^(n^-1 mod (q-1))"
+        assert res.witness ** n == x
 
 
 def test_padic_nth_power_witnesses():

@@ -12,6 +12,7 @@ from oracles import (
     relative_group_oracle,
     tame_norm_oracle,
 )
+import skone.ktheory
 from skone.algebras import symbol_algebra, tensor
 from skone.errors import Undecided, UnsupportedTower
 from skone.fields import (
@@ -24,6 +25,7 @@ from skone.fields import (
 from skone.ktheory import (
     BrauerCoordinate,
     KClass,
+    SlotSplits,
     brauer_symbol_of,
     coh_coordinates,
     dlog_mod,
@@ -316,6 +318,45 @@ def test_relative_group_matches_the_normalising_oracle():
                 assert (got.order, got.subgroup_gcd, got.per_r, got.generators) \
                     == (want["order"], want["subgroup_gcd"], want["per_r"],
                         want["generators"]), (n, p, r)
+
+
+class _UnsharedSplits(SlotSplits):
+    """A fresh `laurent_split` and a fresh -1 on every request."""
+
+    def __call__(self, L, s):
+        sp = skone.ktheory.laurent_split(L.elem(s))
+        return sp.valuation, sp.unit
+
+    def minus_one(self, L):
+        return L.base.elem(-1)
+
+
+@pytest.mark.parametrize("n, p, a", [(2, 17, 3), (3, 109, 6)])
+def test_relative_group_splits_each_slot_once(monkeypatch, n, p, a):
+    # one SlotSplits serves the period and every lift {g, h, a, b}: each
+    # slot object is split once at its level, and the result is the same
+    # as reading every lift with splits of its own
+    T = parse_field(f"Qp({p})[zeta_{n * n}]((t1))((t2))" if n > 2
+                    else f"Qp({p})((t1))((t2))")
+    t1, t2 = laurent_var_element(T, "t1"), laurent_var_element(T, "t2")
+    zeta, _ = primitive_root_of_unity(T, n)
+    A = tensor(symbol_algebra(T, a, t1, n, zeta), symbol_algebra(T, p, t2, n, zeta))
+    split = skone.ktheory.laurent_split
+    for r in (1, 2):
+        calls = []
+        monkeypatch.setattr(skone.ktheory, "laurent_split",
+                            lambda x: calls.append(x) or split(x))
+        got = relative_group(A, r, n * n)
+        shared = list(calls)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(skone.ktheory, "SlotSplits", _UnsharedSplits)
+            want = relative_group(A, r, n * n)
+        assert (got.order, got.subgroup_gcd, got.per_r, got.generators) \
+            == (want.order, want.subgroup_gcd, want.per_r, want.generators)
+        # the list holds every split element, so no id is reused
+        assert len({id(x) for x in shared}) == len(shared), (n, r)
+        assert 5 * len(shared) <= len(calls), (n, r, len(shared), len(calls))
 
 
 def test_k2_of_qp_mod_m_is_read_mod_gcd_m_p_minus_1():
