@@ -41,6 +41,19 @@ Berkowitz char poly with entries in K whose coefficients are then checked
 to be scalars).  Every presentation is a cyclic one or a tensor product of
 them, so every presentation has that K.  The inverse evaluates
 Cayley-Hamilton on the powers of x that Newton's identities read.
+
+Products and trace pairings run on cleared payload vectors, not on
+FieldElements.  The base tower's ``_clear`` hook turns a list of payloads
+into (payloads', d) with every payload = payload' / d, and ``_from_cleared``
+turns one payload' back into a payload over d.  By default it is the
+identity with d = 1; over Q the payloads' are integer numerators over the
+lcm of the denominators, so the one kernel, which calls only the tower's
+``_add``, ``_mul`` and ``_is_zero``, runs on Python ints there and pays one
+Fraction per output coordinate.  An element clears its coordinates
+on first use and keeps them (``AlgElement._cleared``); the table and the
+trace form are each cleared once per algebra, with their own d, on the
+first product or pairing, so an algebra that is never multiplied never
+clears its table.
 """
 
 from __future__ import annotations
@@ -101,11 +114,23 @@ class TensorTag:
 # ---------------------------------------------------------------------------
 
 class AlgElement:
-    __slots__ = ("algebra", "coords")
+    __slots__ = ("algebra", "coords", "_vec")
 
     def __init__(self, algebra: "AlgebraPresentation", coords):
         self.algebra = algebra
         self.coords = tuple(coords)
+        self._vec = None
+
+    def _cleared(self) -> tuple[list, object]:
+        """(vec, d): coordinate k is vec[k] / d in the base tower's
+        ``_clear`` form, and vec[k] is None where it is zero; formed on
+        first use and kept."""
+        if self._vec is None:
+            tower = self.algebra.base
+            pays, d = tower._clear([c.payload for c in self.coords])
+            is_zero = tower._is_zero
+            self._vec = ([None if is_zero(a) else a for a in pays], d)
+        return self._vec
 
     def __add__(self, other):
         o = self.algebra.coerce(other)
@@ -197,6 +222,9 @@ class AlgebraPresentation:
         self._monomial_mats = None
         self._trd_basis = None
         self._trace_form = None
+        self._kernel_table = None      # the kernels' cleared table, form, zero
+        self._kernel_form = None
+        self._kernel_zero = None
 
     @property
     def table(self):
@@ -232,17 +260,34 @@ class AlgebraPresentation:
         return AlgElement(self, [self.base.elem(c) for c in coords])
 
     def mul(self, x: AlgElement, y: AlgElement) -> AlgElement:
-        acc = [self.base.zero()] * self.dim
-        for i, xi in enumerate(x.coords):
-            if xi.is_zero():
+        """xy by the cleared-denominator kernel: one base-payload product
+        and sum per structure constant, one wrap per output coordinate."""
+        if self._kernel_table is None:
+            self._kernel_table = _clear_rows(self.base, self.table)
+        table, dt = self._kernel_table
+        tower = self.base
+        add, mul = tower._add, tower._mul
+        xs, dx = x._cleared()
+        ys, dy = y._cleared()
+        acc = [self._zero_payload()] * self.dim
+        for i, a in enumerate(xs):
+            if a is None:
                 continue
-            for j, yj in enumerate(y.coords):
-                if yj.is_zero():
+            row = table[i]
+            for j, b in enumerate(ys):
+                if b is None:
                     continue
-                f = xi * yj
-                for k, c in self.table[i][j]:
-                    acc[k] = acc[k] + f * c
-        return AlgElement(self, acc)
+                f = mul(a, b)
+                for k, c in row[j]:
+                    acc[k] = add(acc[k], mul(f, c))
+        d = dx * dy * dt
+        return AlgElement(self, [FieldElement(tower, tower._from_cleared(a, d)) for a in acc])
+
+    def _zero_payload(self):
+        """Zero in the base tower's ``_clear`` form, for the kernels."""
+        if self._kernel_zero is None:
+            self._kernel_zero = self.base._clear([self.base.zero().payload])[0][0]
+        return self._kernel_zero
 
     def _check_unital_associative(self):
         """Does nothing: tables are associative by construction.
@@ -394,16 +439,24 @@ class AlgebraPresentation:
         return self._trace_form
 
     def trace_pairing(self, x: AlgElement, y: AlgElement) -> FieldElement:
-        """Trd(xy) from the cached trace form, without forming xy."""
-        acc = self.base.zero()
-        ys = y.coords
-        for xi, entries in zip(x.coords, self.trace_form()):
-            if xi.is_zero():
+        """Trd(xy) from the cached trace form, without forming xy, by the
+        kernel of ``mul``."""
+        if self._kernel_form is None:
+            self._kernel_form = _clear_rows(self.base, [self.trace_form()])
+        (form,), dt = self._kernel_form
+        tower = self.base
+        add, mul = tower._add, tower._mul
+        xs, dx = x._cleared()
+        ys, dy = y._cleared()
+        acc = self._zero_payload()
+        for i, a in enumerate(xs):
+            if a is None:
                 continue
-            for j, t in entries:
-                if not ys[j].is_zero():
-                    acc = acc + xi * ys[j] * t
-        return acc
+            for j, t in form[i]:
+                b = ys[j]
+                if b is not None:
+                    acc = add(acc, mul(mul(a, b), t))
+        return FieldElement(tower, tower._from_cleared(acc, dx * dy * dt))
 
     def trd(self, x: AlgElement) -> FieldElement:
         """Trd(x) = sum x_k Trd(e_k), from the cached row ``_trd_row``: read
@@ -447,6 +500,16 @@ class AlgebraPresentation:
         if self.degree > h + 1:
             acc = acc + combine(prd.coeffs[h + 2:], pows[1:]) * pows[h]
         return acc.scale(-c0.inverse())
+
+
+def _clear_rows(tower: FieldTower, rows):
+    """rows[i][j] = [(k, c), ...] with c in tower, cleared together: the
+    same rows on the payloads ``tower._clear`` makes, and their d."""
+    flat = [c.payload for row in rows for entries in row for _, c in entries]
+    pays, d = tower._clear(flat)
+    it = iter(pays)
+    return [[[(k, next(it)) for k, _ in entries] for entries in row]
+            for row in rows], d
 
 
 def _rebase(R, B):

@@ -245,7 +245,7 @@ class FieldTower:
     def elem(self, value) -> "FieldElement":
         """Coerce an int / Fraction / FieldElement into this tower."""
         if isinstance(value, FieldElement):
-            if value.tower == self:
+            if value.tower is self or value.tower == self:
                 return value
             lifted = self._lift(value)
             if lifted is not None:
@@ -298,6 +298,18 @@ class FieldTower:
     def _repr_payload(self, a) -> str:
         raise NotImplementedError
 
+    # --- cleared payload vectors ------------------------------------------
+    def _clear(self, payloads):
+        """(payloads', d) with every payload = payload' / d, for kernels that
+        run on many payloads with this tower's _add, _mul and _is_zero and
+        divide by d once at the end (``_from_cleared``).  Default: the
+        payloads themselves, d = 1."""
+        return payloads, 1
+
+    def _from_cleared(self, a, d):
+        """The payload a / d, for a payload a of ``_clear``'s kind."""
+        return a
+
     def __eq__(self, other):
         return type(self) is type(other) and self._key() == other._key()
 
@@ -344,6 +356,15 @@ class Rationals(FieldTower):
 
     def _repr_payload(self, a):
         return str(a)
+
+    def _clear(self, payloads):
+        """Integer numerators over the lcm d of the denominators: _add and
+        _mul then run on Python ints."""
+        d = math.lcm(*[q.denominator for q in payloads])
+        return [q.numerator * (d // q.denominator) for q in payloads], d
+
+    def _from_cleared(self, a, d):
+        return Fraction(a, d)
 
 
 class FiniteField(FieldTower):
@@ -960,7 +981,8 @@ class FieldElement:
 
     # --- arithmetic -----------------------------------------------------
     def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement) and other.tower == self.tower:
+        if isinstance(other, FieldElement) and (other.tower is self.tower
+                                                or other.tower == self.tower):
             return other
         return self.tower.elem(other)
 
@@ -1267,15 +1289,27 @@ def _laurent_nth_power(x: FieldElement, n: int) -> PowerResult:
 
 class LaurentSplit:
     """t^v * u * (1 + higher): valuation, leading base unit, tail, and the
-    base valuation of the unit when the base is itself p-adic."""
+    base valuation of the unit when the base is itself p-adic.  The tail
+    (one inverse and one product per term) is formed on first read."""
 
-    __slots__ = ("valuation", "unit", "tail", "base_valuation")
+    __slots__ = ("valuation", "unit", "base_valuation", "_x", "_tail")
 
-    def __init__(self, valuation, unit, tail, base_valuation=None):
+    def __init__(self, valuation, unit, x, base_valuation=None):
         self.valuation = valuation
         self.unit = unit
-        self.tail = tail
         self.base_valuation = base_valuation
+        self._x = x
+        self._tail = None
+
+    @property
+    def tail(self) -> FieldElement:
+        if self._tail is None:
+            terms, order = self._x.payload
+            v, uinv = self.valuation, self.unit.inverse()
+            self._tail = self._x.tower.from_terms(
+                {e - v: c * uinv for e, c in terms.items()},
+                None if order is None else order - v)
+        return self._tail
 
     def __repr__(self):
         bv = f", base_val={self.base_valuation}" if self.base_valuation is not None else ""
@@ -1294,13 +1328,10 @@ def laurent_split(x: FieldElement) -> LaurentSplit:
     L: LaurentExt = x.tower
     v = min(terms)
     u = terms[v]
-    uinv = u.inverse()
-    tail_terms = {e - v: c * uinv for e, c in terms.items()}
-    tail = L.from_terms(tail_terms, None if order is None else order - v)
     base_val = None
     if isinstance(L.base, PAdicDescriptor):
         base_val = L.base.valuation(u.payload)
-    return LaurentSplit(v, u, tail, base_val)
+    return LaurentSplit(v, u, x, base_val)
 
 
 def primitive_root_of_unity(tower: FieldTower, m: int):

@@ -1,7 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
-from oracles import associativity_defect, involution_defect, left_mult_matrix
+from hypothesis import example, given
+from hypothesis import strategies as st
+from oracles import _product, associativity_defect, involution_defect, left_mult_matrix
 
 from skone.algebras import (
     _cyclic_presentation,
@@ -27,6 +30,7 @@ from skone.errors import InconsistentConstruction, PrecisionExhausted
 from skone.fields import (
     FiniteField,
     PAdicDescriptor,
+    LaurentExt,
     Rationals,
     parse_field,
     primitive_root_of_unity,
@@ -198,6 +202,83 @@ def test_trace_form_is_trd_of_the_product(desc):
         x = A.element([rng.randint(-2, 2) for _ in range(16)])
         y = A.element([rng.randint(-2, 2) for _ in range(16)])
         assert A.trace_pairing(x, y) == A.trd(x * y)
+
+
+# --- the cleared-denominator kernel of mul and trace_pairing ----------------
+
+def _check_kernel(A, x, y):
+    """x * y against the table oracle, Trd(xy) against trd(x * y), and each
+    product coordinate equal to the oracle's and hashing alike (in lowest
+    terms over Q)."""
+    zero = A.base.zero()
+    xy = x * y
+    want = _product(A.table, dict(enumerate(x.coords)), dict(enumerate(y.coords)))
+    for k, c in enumerate(xy.coords):
+        w = want.get(k, zero)
+        assert c == w and hash(c) == hash(w) and str(c) == str(w)
+    assert A.trace_pairing(x, y) == A.trd(xy)
+
+
+Q_NONINTEGRAL = tensor(symbol_algebra(Q, Fraction(1, 2), Fraction(-3, 5), 2),
+                       symbol_algebra(Q, -1, Fraction(7, 3), 2))
+_rational = st.one_of(st.just(Fraction(0)), st.integers(-4, 4).map(Fraction),
+                      st.fractions(-4, 4, max_denominator=15))
+_q_coords = st.lists(_rational, min_size=16, max_size=16)
+
+
+@given(_q_coords, _q_coords)
+@example([Fraction(0)] * 16, [Fraction(k, 7) for k in range(16)])
+@example([Fraction(1, 6), Fraction(0), Fraction(-5, 4)] + [Fraction(0)] * 13,
+         [Fraction(0)] * 16)
+def test_kernel_over_q_mixed_denominators(xc, yc):
+    A = Q_NONINTEGRAL
+    _check_kernel(A, A.element(xc), A.element(yc))
+
+
+def test_kernel_equal_products_hash_alike():
+    # the same product reached from coordinates with different denominators
+    A = Q_NONINTEGRAL
+    x = A.element([Fraction(2, 6)] + [Fraction(0)] * 15)
+    y = A.element([Fraction(0), Fraction(9, 12)] + [Fraction(0)] * 14)
+    p1 = x * y
+    p2 = A.element([Fraction(1, 3)] + [0] * 15) * A.element([0, Fraction(3, 4)] + [0] * 14)
+    assert p1 == p2
+    assert [hash(c) for c in p1.coords] == [hash(c) for c in p2.coords]
+    assert str(p1.coords[1]) == "1/4"
+
+
+_F49 = FiniteField(49)
+_F49_ALG = symbol_algebra(_F49, _F49.generator(), 3, 3)
+_Q5_ALG = symbol_algebra(PAdicDescriptor(5), 2, 5, 2)
+_QT = LaurentExt(Q, "t")
+_QT_ALG = symbol_algebra(_QT, _QT.monomial(1), -3, 2)
+
+
+def _f49(pair):
+    a, b = pair
+    return _F49.elem(a) + _F49.elem(b) * _F49.generator()
+
+
+def _qt(terms):
+    return _QT.from_terms({e: Q.elem(c) for e, c in terms.items()})
+
+
+_TOWER_CASES = {
+    "F(49)": (_F49_ALG, st.tuples(st.integers(0, 6), st.integers(0, 6)).map(_f49)),
+    "Qp(5)": (_Q5_ALG, _rational.map(_Q5_ALG.base.elem)),
+    "Q((t))": (_QT_ALG, st.dictionaries(st.integers(-2, 2), _rational, max_size=3).map(_qt)),
+}
+
+
+@pytest.mark.parametrize("desc", list(_TOWER_CASES))
+def test_kernel_on_other_towers(desc):
+    A, coord = _TOWER_CASES[desc]
+    coords = st.lists(coord, min_size=A.dim, max_size=A.dim)
+
+    @given(coords, coords)
+    def check(xc, yc):
+        _check_kernel(A, A.element(xc), A.element(yc))
+    check()
 
 
 def _annihilates(A, prd, x) -> bool:
