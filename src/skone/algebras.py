@@ -89,14 +89,6 @@ class PAlgebraTag:
 
 
 @dataclass(frozen=True)
-class CyclicTag:
-    kind: str  # "kummer" | "artin_schreier"
-    a: FieldElement
-    b: FieldElement
-    n: int
-
-
-@dataclass(frozen=True)
 class TwistedLiftTag:
     # char-0 quaternion presentation u^2+u=a, v^2=b, uv=-v(u+1)
     a: FieldElement
@@ -740,17 +732,15 @@ def p_algebra(base: FieldTower, a, b) -> AlgebraPresentation:
 
 
 def cyclic_kummer(base: FieldTower, a, b, n: int) -> AlgebraPresentation:
-    """Cyclic algebra (k(a^(1/n))/k, sigma, b) in Kummer form."""
-    alg = symbol_algebra(base, a, b, n)
-    alg.tag = CyclicTag("kummer", alg.tag.a, alg.tag.b, n)
-    return alg
+    """Cyclic algebra (k(a^(1/n))/k, sigma, b) in Kummer form: the symbol
+    algebra (a, b)_n, tag included."""
+    return symbol_algebra(base, a, b, n)
 
 
 def cyclic_artin_schreier(base: FieldTower, a, b) -> AlgebraPresentation:
-    """Cyclic algebra on the Artin-Schreier extension x^p - x - a."""
-    alg = p_algebra(base, a, b)
-    alg.tag = CyclicTag("artin_schreier", alg.tag.a, alg.tag.b, alg.tag.p)
-    return alg
+    """Cyclic algebra on the Artin-Schreier extension x^p - x - a: the
+    p-algebra [a, b), tag included."""
+    return p_algebra(base, a, b)
 
 
 def twisted_lift_quaternion(base: FieldTower, a, b) -> AlgebraPresentation:
@@ -848,16 +838,16 @@ class AlbertResult:
 def albert_form(A: AlgebraPresentation):
     """<a, b, -ab, -c, -d, cd> for A = (a,b) (x) (c,d) in characteristic != 2."""
     from .forms import QuadraticForm
-    if not isinstance(A.tag, TensorTag) or \
-            not isinstance(A.tag.left.tag, (SymbolTag, CyclicTag)) or \
-            not isinstance(A.tag.right.tag, (SymbolTag, CyclicTag)):
-        raise InconsistentConstruction("Albert form needs a tensor of two quaternions")
-    lt, rt = A.tag.left.tag, A.tag.right.tag
-    if getattr(lt, "n", 2) != 2 or getattr(rt, "n", 2) != 2:
-        raise InconsistentConstruction("Albert form needs degree-2 factors")
     if A.base.characteristic == 2:
         raise UnsupportedTower(
             "characteristic-2 biquaternions are handled through the lift")
+    if not isinstance(A.tag, TensorTag) or \
+            not isinstance(A.tag.left.tag, SymbolTag) or \
+            not isinstance(A.tag.right.tag, SymbolTag):
+        raise InconsistentConstruction("Albert form needs a tensor of two quaternions")
+    lt, rt = A.tag.left.tag, A.tag.right.tag
+    if lt.n != 2 or rt.n != 2:
+        raise InconsistentConstruction("Albert form needs degree-2 factors")
     a, b = lt.a, lt.b
     c, d = rt.a, rt.b
     return QuadraticForm(A.base, [a, b, -(a * b), -c, -d, c * d])

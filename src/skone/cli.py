@@ -371,7 +371,7 @@ def _run_centre(args):
         provenance = ("computed" if cs.certificate.startswith("computed")
                       else "undecided")
         certs.append(("centre symbol", provenance, cs.certificate))
-        if cs.certificate == "undecided" and args.require_certificate_flag:
+        if cs.certificate == "undecided" and args.require_certificate:
             raise Undecided("centre symbol certificate unavailable")
     else:
         raise FieldSyntaxError("centre needs --algebra or --values")
@@ -436,7 +436,6 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    args.require_certificate_flag = args.require_certificate
     t0 = time.time()
     try:
         payload, certs = _VERBS[args.verb](args)

@@ -460,16 +460,17 @@ class FiniteField(FieldTower):
 
     def multiplicative_generator(self) -> "FieldElement":
         """Deterministic smallest generator of F_q^* (by payload order)."""
-        order = self.q - 1
-        prime_divs = list(factorize(order)) if order > 1 else []
-        for x in self.elements():
-            if x.is_zero():
-                continue
-            if order == 1:
-                return x
-            if all(not (x ** (order // r)).is_one() for r in prime_divs):
-                return x
-        raise RuntimeError("unreachable: F_q^* is cyclic")
+        return FieldElement(self, _first_generator(self))
+
+
+@lru_cache(maxsize=None)
+def _first_generator(F: FiniteField) -> tuple:
+    """Payload of the first generator of F_q^* in elements() order, scanned
+    once per q (generators are dense, so the scan stops early)."""
+    order = F.q - 1
+    primes = factorize(order)
+    return next(x.payload for x in F.elements() if not x.is_zero()
+                and all(not (x ** (order // r)).is_one() for r in primes))
 
 
 class PadicPayload:
@@ -860,17 +861,8 @@ class RootAdjunction(FieldTower):
                 return self.elem(1 if self.m == 1 else -1)
             return FieldElement(self, (Fraction(0), Fraction(1)) +
                                 (Fraction(0),) * (self._deg - 2))
-        if isinstance(self.base, FiniteField):
-            g = self.base.multiplicative_generator()
-            z = g ** ((self.base.q - 1) // self.m)
-            return FieldElement(self, z.payload)
-        # tame p-adic Teichmueller lift
-        base: PAdicDescriptor = self.base
-        if self.m <= 2:
-            return self.elem(1 if self.m == 1 else -1)
-        r = _residue_of_exact_order(base.p, self.m)
-        z = _teichmueller(r, base.p, base.precision)
-        return FieldElement(self, PadicPayload(v=0, unit=z, prec=base.precision))
+        # over F_q and Q_p the base's own root (the constructor checked m)
+        return FieldElement(self, primitive_root_of_unity(self.base, self.m)[0].payload)
 
     def _add(self, a, b):
         if self._passthrough:
@@ -921,13 +913,20 @@ class RootAdjunction(FieldTower):
         return " + ".join(bits) if bits else "0"
 
 
+@lru_cache(maxsize=None)
 def _residue_of_exact_order(p: int, m: int) -> int:
-    """Smallest residue mod p of multiplicative order exactly m (m | p-1)."""
-    for r in range(2, p):
-        ok = pow(r, m, p) == 1
-        if ok and all(pow(r, m // q, p) != 1 for q in factorize(m)):
-            return r
-    raise InconsistentConstruction(f"no residue of order {m} mod {p}")
+    """Smallest residue mod p of multiplicative order exactly m (m | p-1,
+    m > 1).  For m^2 <= p - 1 it is the least g^(k (p-1)/m) with
+    gcd(k, m) = 1, g the least primitive root; for larger m, whose residues
+    of order m have density phi(m)/(p-1), the first one a scan from 2 meets.
+    Either way about sqrt(p) steps, never a walk to p - 1 for small m."""
+    if m == 1 or (p - 1) % m:
+        raise InconsistentConstruction(f"no residue of order {m} mod {p}")
+    if m * m > p - 1:
+        return next(r for r in range(2, p) if pow(r, m, p) == 1
+                    and all(pow(r, m // q, p) != 1 for q in factorize(m)))
+    h = pow(_residue_of_exact_order(p, p - 1), (p - 1) // m, p)
+    return min(pow(h, k, p) for k in range(1, m) if math.gcd(k, m) == 1)
 
 
 def _teichmueller(r: int, p: int, prec: int) -> int:
@@ -1170,36 +1169,101 @@ def _rational_nth_power(x: FieldElement, n: int) -> PowerResult:
     return PowerResult(True, x.tower.elem(w), "exact root")
 
 
+def _cyclic_log(y, g, n: int, mul, one):
+    """The k in [0, n) with g^k = y, for g of order n, or None when y is not
+    a power of g.  Pohlig-Hellman: the log is read one base-l digit at a
+    time in the subgroup of prime order l, for each l | n, and glued by the
+    CRT, so no loop runs over more than l values.  Works on any cyclic
+    group given by its product and unit (ints mod p, FieldElements)."""
+    k, mod = 0, 1
+    for l, e in factorize(n).items():
+        le = l ** e
+        gl = power(g, n // le, one, mul)             # order l^e
+        yl = power(y, n // le, one, mul)
+        gamma = power(gl, le // l, one, mul)         # order l
+        gl_inv = power(gl, le - 1, one, mul)
+        x = 0
+        for j in range(e):
+            # strip the digits found so far, then project to order l
+            h = power(mul(yl, power(gl_inv, x, one, mul)), l ** (e - 1 - j), one, mul)
+            acc = one
+            for digit in range(l):
+                if acc == h:
+                    break
+                acc = mul(acc, gamma)
+            else:
+                return None
+            x += digit * l ** j
+        k += mod * ((x - k) * pow(mod, -1, le) % le)
+        mod *= le
+    return k if power(g, k, one, mul) == y else None
+
+
+def _cyclic_roots(x, n: int, order: int, mul, one, generator) -> list:
+    """All gcd(n, order) n-th roots of an n-th power x in a cyclic group of
+    the given order: x^(n^-1) when n is prime to the order, otherwise the
+    root g^t with n t = log_g x times the d-th roots of unity, g =
+    generator()."""
+    d = math.gcd(n, order)
+    if d == 1:
+        # y -> y^n is a bijection; its inverse is y -> y^(n^-1 mod order)
+        return [power(x, pow(n, -1, order), one, mul)]
+    g = generator()
+    t = _cyclic_log(x, g, order, mul, one) // d * pow(n // d, -1, order // d)
+    roots = [power(g, t, one, mul)]
+    zeta = power(g, order // d, one, mul)
+    for _ in range(d - 1):
+        roots.append(mul(roots[-1], zeta))
+    return roots
+
+
 def _finite_nth_power(x: FieldElement, n: int) -> PowerResult:
+    """Decided by x^((q-1)/d) = 1, d = gcd(n, q - 1); the witness is the
+    first root in elements() order (the reversed payload orders them)."""
     F: FiniteField = x.tower
     order = F.q - 1
     d = math.gcd(n, order)
     if not (x ** (order // d)).is_one():
         return PowerResult(False, None, f"x^((q-1)/{d}) != 1")
-    if d == 1:
-        # y -> y^n is a bijection of F_q^x; its inverse is y -> y^(n^-1 mod q-1)
-        return PowerResult(True, x ** pow(n, -1, order), "x^(n^-1 mod (q-1))")
-    # witness by deterministic search (fields in scope are small)
-    if F.q <= 20000:
-        for y in F.elements():
-            if y.is_zero():
-                continue
-            if (y ** n) == x:
-                return PowerResult(True, y, "exhaustive search")
-        return PowerResult(False, None, "exhaustive search")
-    g = F.multiplicative_generator()
-    # discrete log by brute stepping (only hit for big q, not in the test scope)
-    acc = F.one()
-    for k in range(order):
-        if acc == x:
-            # solve n*t = k mod order
-            dd = math.gcd(n, order)
-            if k % dd:
-                return PowerResult(False, None, "dlog obstruction")
-            t = (k // dd) * pow(n // dd, -1, order // dd) % (order // dd)
-            return PowerResult(True, g ** t, "discrete log")
-        acc = acc * g
-    raise RuntimeError("unreachable")
+    roots = _cyclic_roots(x, n, order, FieldElement.__mul__, F.one(),
+                          F.multiplicative_generator)
+    return PowerResult(True, min(roots, key=lambda y: y.payload[::-1]),
+                       "discrete log" if d > 1 else "x^(n^-1 mod (q-1))")
+
+
+def _field_trace(x: FieldElement) -> FieldElement:
+    """Tr_{F_q/F_p}(x) = sum_{j<e} x^(p^j), q = p^e; x may sit in a root
+    adjunction over F_q, which adds no degree."""
+    F = x.tower
+    while isinstance(F, RootAdjunction):
+        F = F.base
+    acc = conj = x
+    for _ in range(F.e - 1):
+        conj = conj ** F.p
+        acc = acc + conj
+    return acc
+
+
+def _trace_one(F: FiniteField) -> FieldElement:
+    """theta = b / Tr(b) for the first basis vector b of nonzero trace.  The
+    trace is F_p-linear, so in characteristic 2 this is the first element
+    of trace 1 in elements() order."""
+    basis = (FieldElement(F, tuple(int(i == j) for i in range(F.e))) for j in range(F.e))
+    b = next(b for b in basis if not _field_trace(b).is_zero())
+    return b / _field_trace(b)
+
+
+def _artin_schreier_root(c: FieldElement) -> FieldElement:
+    """The first x in elements() order with x^p - x = c, for c of trace 0:
+    x = sum_{0<i<e} S_i c^(p^i), S_i = sum_{j<i} theta^(p^j), Tr theta = 1
+    (additive Hilbert 90; Lidl-Niederreiter, Finite Fields, Thm 2.25).
+    The roots are x + F_p; the one with constant coefficient 0 comes first."""
+    F: FiniteField = c.tower
+    theta, S, x = _trace_one(F), F.zero(), F.zero()
+    for _ in range(1, F.e):
+        S, theta, c = S + theta, theta ** F.p, c ** F.p
+        x = x + S * c
+    return FieldElement(F, (0,) + tuple(x.payload[1:]))
 
 
 def _padic_nth_power(x: FieldElement, n: int) -> PowerResult:
@@ -1231,13 +1295,11 @@ def _padic_nth_power(x: FieldElement, n: int) -> PowerResult:
 
 
 def _hensel_root_unit(unit: int, n: int, p: int, prec: int) -> int:
-    """Root of y^n = unit in Z_p^* (gcd(n,p)=1), computed mod p^prec."""
-    y0 = None
-    for r in range(1, p):
-        if pow(r, n, p) == unit % p:
-            y0 = r
-            break
-    assert y0 is not None, "caller checked the residue obstruction"
+    """Root of y^n = unit in Z_p^* (gcd(n,p)=1), computed mod p^prec: the
+    Newton lift of the least root mod p (the caller checked that one
+    exists)."""
+    y0 = min(_cyclic_roots(unit % p, n, p - 1, lambda a, b: a * b % p, 1,
+                           partial(_residue_of_exact_order, p, p - 1)))
     pk = p
     y = y0
     while pk < p ** prec:

@@ -37,7 +37,9 @@ from .fields import (
     PAdicDescriptor,
     Rationals,
     RootAdjunction,
+    _field_trace,
     _jacobi,
+    _trace_one,
     factorize,
     is_nth_power,
     laurent_split,
@@ -900,9 +902,8 @@ def _witt_char2_finite(q: QuadraticForm) -> WittClass:
     if a.is_trivial:
         return WittClass(tower, QuadraticForm(tower), q.dim // 2, "Arf classification")
     # the unique nonzero class: [1, c] with x^2 + x + c irreducible, i.e.
-    # Tr(c) = 1
-    F: FiniteField = effective_tower(tower)
-    c = next(c for c in F.elements() if not _trace_to_f2(c).is_zero())
+    # Tr(c) = 1; c is the first such element in elements() order
+    c = _trace_one(effective_tower(tower))
     probe = QuadraticForm(tower, (), [(tower.one(), c)])
     return WittClass(tower, probe, (q.dim - 2) // 2, "Arf classification")
 
@@ -947,15 +948,6 @@ class ArfInvariant:
         return f"Arf({self.value}, trivial={self.is_trivial})"
 
 
-def _trace_to_f2(x: FieldElement) -> FieldElement:
-    """Tr_{F_q/F_2}(x) = sum_{j<e} x^(2^j), q = 2^e."""
-    acc, conj = x, x
-    for _ in range(effective_tower(x.tower).e - 1):
-        conj = conj * conj
-        acc = acc + conj
-    return acc
-
-
 def arf_invariant(q: QuadraticForm) -> ArfInvariant:
     """Arf(q) = sum a_i b_i in k / {x^2 + x}; over F_q, q = 2^e, it is
     trivial iff Tr_{F_q/F_2}(sum a_i b_i) = 0 (additive Hilbert 90)."""
@@ -969,7 +961,7 @@ def arf_invariant(q: QuadraticForm) -> ArfInvariant:
         acc = acc + a * b
     F = effective_tower(tower)
     if isinstance(F, FiniteField):
-        return ArfInvariant(acc, _trace_to_f2(acc).is_zero())
+        return ArfInvariant(acc, _field_trace(acc).is_zero())
     raise UnsupportedTower("Arf triviality is certified over finite fields only")
 
 

@@ -29,6 +29,10 @@ modulus:
   * a Laurent tower whose characteristic divides m is undecided (one check
     covers every layer, since all share the characteristic of the base).
 
+Every discrete log here (F_q, residues mod p, the tame symbol) is one
+Pohlig-Hellman call, `fields._cyclic_log`, projected to the subgroup of
+order d by `_log_mod`.
+
 `kclass_is_zero` and `coh_coordinates` walk normalised residues: an empty
 leaf is zero whatever the modulus.  `top_coordinate` reads the terms as they
 stand, so a class built with normalized=True (as `relative_group` builds its
@@ -57,11 +61,13 @@ from .fields import (
     FiniteField,
     LaurentExt,
     PAdicDescriptor,
+    _cyclic_log,
     _residue_of_exact_order,
     is_nth_power,
     laurent_split,
 )
 from .forms import _hilbert, _padic_val_unit, effective_tower
+from .poly import power
 
 RESIDUE_CONVENTION = "residue: uniformizer-first, second-projection normalisation"
 
@@ -328,13 +334,8 @@ def _tame_pairing(K: PAdicDescriptor, a: FieldElement, b: FieldElement,
     tm = pow(t, (p - 1) // m, p)
     if m == 1:
         return 0
-    zbar = _residue_of_exact_order(p, m)
-    val = 1
-    for k in range(m):
-        if val == tm:
-            return k
-        val = (val * zbar) % p
-    raise InconsistentConstruction("tame symbol value is not an m-th root of unity")
+    return _log_mod(tm, _residue_of_exact_order(p, m), m, m,
+                    lambda x, y: x * y % p, 1)
 
 
 def dlog_mod(F: FiniteField, x: FieldElement, m: int) -> int:
@@ -342,13 +343,18 @@ def dlog_mod(F: FiniteField, x: FieldElement, m: int) -> int:
     d = math.gcd(m, F.q - 1)
     if d == 1:
         return 0
-    g = F.multiplicative_generator()
-    acc = F.one()
-    for k in range(F.q - 1):
-        if acc == x:
-            return k % d
-        acc = acc * g
-    raise InconsistentConstruction("element not in F_q^x")
+    return _log_mod(x, F.multiplicative_generator(), F.q - 1, d,
+                    FieldElement.__mul__, F.one())
+
+
+def _log_mod(y, g, order: int, d: int, mul, one) -> int:
+    """k mod d for y = g^k, g of the given order and d | order: the log of
+    y^(order/d) to the base g^(order/d), which has order d."""
+    e = order // d
+    k = _cyclic_log(power(y, e, one, mul), power(g, e, one, mul), d, mul, one)
+    if k is None:
+        raise InconsistentConstruction("element not in F_q^x")
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -443,23 +449,14 @@ def _evaluate_base_class(k: KClass, names) -> CoordinateRecord:
         return CoordinateRecord(names, "Z/2 x Z/2 x Z/2", (v % 2, eps % 2, omega % 2))
     # p does not divide m: Q_p^x/m = Z/m (valuation) x F_p^x/m (Hensel)
     d = math.gcd(m, p - 1)
-    g = _residue_of_exact_order(p, p - 1) if d > 1 else None
     v = ulog = 0
     for cf, (x,) in k.terms:
         xv, u, _ = tower.val_unit(x.payload)
         v += cf * xv
-        if g is not None:
-            ulog += cf * _dlog_mod_p(u, g, p)
+        if d > 1:
+            ulog += cf * _log_mod(u % p, _residue_of_exact_order(p, p - 1), p - 1,
+                                  d, lambda a, b: a * b % p, 1)
     return CoordinateRecord(names, f"Z/{m} x Z/{d}", (v % m, ulog % d))
-
-
-def _dlog_mod_p(u: int, g: int, p: int) -> int:
-    acc = 1
-    for k in range(p - 1):
-        if acc == u % p:
-            return k
-        acc = (acc * g) % p
-    raise InconsistentConstruction("discrete log does not exist")
 
 
 def _is_zero_value(value) -> bool:

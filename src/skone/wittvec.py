@@ -13,7 +13,10 @@ its trace sum_{j<e} F^j(w), read in W_l(F_p) = Z/p^l (additive Hilbert 90
 for the unramified extension; Serre, Local Fields, II 6 and X 1).  That
 trace decides the (F - 1) relator, the order of a character and the degree
 of the extension over which v^(p) - v = w is solved; no decision enumerates
-W_l(F_q).
+W_l(F_q).  The solution v itself is found one component at a time, each an
+Artin-Schreier equation x^p - x = c solved in closed form by the same
+additive Hilbert 90 (`fields._artin_schreier_root`); only `_embed_ff` still
+searches F_(q^e), for a root of the F_q modulus.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import InconsistentConstruction, UnsupportedTower
-from .fields import FieldElement, FieldTower, FiniteField, _teichmueller
+from .fields import (FieldElement, FieldTower, FiniteField, _artin_schreier_root,
+                     _teichmueller)
 from .forms import effective_tower
 from .ktheory import CohClass, KClass, symbol
 from .poly import Poly
@@ -395,21 +399,15 @@ def _canonical_as_solution(w: WittVector):
 
 
 def _as_solve_componentwise(Fe: FiniteField, wl: WittVector) -> WittVector:
-    """Greedy componentwise solve of F(v) - v = wl, for wl of trace 0;
-    component j of any Witt expression depends only on components <= j, and
-    the solution set is a coset of W_l(F_p), so greedy choices never
-    dead-end."""
-    l = wl.length
-    elems = list(Fe.elements())
-    comps: list = []
-
-    def solves_through(x, i):
-        cand = WittVector(Fe, comps + [x] + [Fe.zero()] * (l - i - 1))
-        d = cand.frobenius() - cand
-        return all(d.components[j] == wl.components[j] for j in range(i + 1))
-
-    for i in range(l):
-        comps.append(next(x for x in elems if solves_through(x, i)))
+    """Componentwise solve of F(v) - v = wl, for wl of trace 0.  Component
+    i of F(v) - v is v_i^p - v_i plus a polynomial in v_0 .. v_(i-1), so
+    each v_i solves one Artin-Schreier equation x^p - x = c in closed form;
+    each takes the first root in elements() order."""
+    comps = []
+    for i in range(wl.length):
+        cand = WittVector(Fe, comps + [Fe.zero()] * (wl.length - i))
+        lower = (cand.frobenius() - cand).components[i]
+        comps.append(_artin_schreier_root(wl.components[i] - lower))
     return WittVector(Fe, comps)
 
 

@@ -368,6 +368,82 @@ def artin_schreier_roots(c) -> bool:
     return any(x * x + x == c for x in c.tower.elements())
 
 
+# --- finite fields: logs, roots, Artin-Schreier, by enumeration --------------
+
+def brute_dlog_mod_p(u: int, g: int, p: int) -> int:
+    """The k in [0, p - 1) with g^k = u mod p, by stepping through powers."""
+    acc = 1
+    for k in range(p - 1):
+        if acc == u % p:
+            return k
+        acc = (acc * g) % p
+    raise ValueError("discrete log does not exist")
+
+
+def brute_dlog_table(F) -> dict:
+    """payload -> k with g^k = x, g the multiplicative generator of F_q,
+    by stepping through all q - 1 powers."""
+    g, acc, table = F.multiplicative_generator(), F.one(), {}
+    for k in range(F.q - 1):
+        table[tuple(acc.payload)] = k
+        acc = acc * g
+    return table
+
+
+def first_nth_roots(F, n: int) -> dict:
+    """payload of y^n -> the first y in F.elements() order with that power,
+    by enumerating F_q."""
+    roots = {}
+    for y in F.elements():
+        if not y.is_zero():
+            roots.setdefault(tuple((y ** n).payload), y)
+    return roots
+
+
+def residue_of_exact_order_scan(p: int, m: int) -> int:
+    """Smallest r in [2, p) of multiplicative order exactly m mod p, by scan;
+    ValueError when there is none."""
+    for r in range(2, p):
+        if pow(r, m, p) == 1 and all(pow(r, m // q, p) != 1
+                                     for q in range(2, m + 1) if m % q == 0):
+            return r
+    raise ValueError(f"no residue of order {m} mod {p}")
+
+
+def tame_symbol_log(va: int, ua: int, vb: int, ub: int, p: int, m: int) -> int:
+    """k with T(a, b)^((p-1)/m) = zbar^k, T the tame symbol and zbar the
+    smallest residue of order m, by walking the powers of zbar."""
+    t = pow(-1, va * vb, p) * pow(ua, vb, p) * pow(pow(ub, -1, p), va, p) % p
+    tm = pow(t, (p - 1) // m, p)
+    if m == 1:
+        return 0
+    zbar, val = residue_of_exact_order_scan(p, m), 1
+    for k in range(m):
+        if val == tm:
+            return k
+        val = val * zbar % p
+    raise ValueError("tame symbol value is not an m-th root of unity")
+
+
+def greedy_as_solution(Fe, wl):
+    """Componentwise solve of F(v) - v = wl for wl of trace 0, taking at each
+    component the first element of Fe (in elements() order) that solves the
+    components so far."""
+    from skone.wittvec import WittVector
+    l = wl.length
+    elems = list(Fe.elements())
+    comps: list = []
+
+    def solves_through(x, i):
+        cand = WittVector(Fe, comps + [x] + [Fe.zero()] * (l - i - 1))
+        d = cand.frobenius() - cand
+        return all(d.components[j] == wl.components[j] for j in range(i + 1))
+
+    for i in range(l):
+        comps.append(next(x for x in elems if solves_through(x, i)))
+    return WittVector(Fe, comps)
+
+
 # --- factorisation (for kahn_bound comparison) --------------------------------
 
 def nbar_oracle(n: int) -> int:

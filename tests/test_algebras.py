@@ -9,6 +9,7 @@ from oracles import _product, associativity_defect, involution_defect, left_mult
 from skone.algebras import (
     _cyclic_presentation,
     Involution,
+    albert_form,
     canonical_involution,
     commutator,
     conjugate_involution,
@@ -26,7 +27,7 @@ from skone.algebras import (
     tensor_involution,
     twisted_lift_quaternion,
 )
-from skone.errors import InconsistentConstruction, PrecisionExhausted
+from skone.errors import InconsistentConstruction, PrecisionExhausted, UnsupportedTower
 from skone.fields import (
     FiniteField,
     PAdicDescriptor,
@@ -492,6 +493,28 @@ def test_cyclic_artin_schreier():
     u = A.generator("u")
     assert u * u + u == A.coerce(1)
     assert A.reduced_char_poly(u).degree == 2
+
+
+def test_cyclic_constructors_carry_the_symbol_and_p_algebra_tags():
+    # cyclic_kummer is (a, b)_n and cyclic_artin_schreier is [a, b), tags
+    # included, so every reader of a symbol or p-algebra reads them too
+    assert cyclic_kummer(Q, 2, 5, 2).tag == symbol_algebra(Q, 2, 5, 2).tag
+    F3 = FiniteField(3)
+    assert cyclic_artin_schreier(F3, 1, 2).tag == p_algebra(F3, 1, 2).tag
+    A = tensor(cyclic_kummer(Q, 2, 5, 2), cyclic_kummer(Q, 3, 7, 2))
+    assert is_division_biquaternion(A).form.diag == \
+        is_division_biquaternion(tensor(symbol_algebra(Q, 2, 5, 2),
+                                        symbol_algebra(Q, 3, 7, 2))).form.diag
+
+
+def test_albert_form_refuses_every_char2_tensor_as_unsupported():
+    F2 = FiniteField(2)
+    for A in (tensor(p_algebra(F2, 1, 1), p_algebra(F2, 1, 1)),
+              tensor(cyclic_artin_schreier(F2, 1, 1), p_algebra(F2, 1, 1))):
+        with pytest.raises(UnsupportedTower):
+            albert_form(A)
+    with pytest.raises(InconsistentConstruction):
+        albert_form(symbol_algebra(Q, 2, 5, 2))
 
 
 def test_involution_type_stable_under_base_change():

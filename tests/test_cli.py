@@ -190,6 +190,19 @@ def test_centre_commands(capsys):
     assert doc["payload"]["certificate"] == "computed nonzero"
 
 
+def test_centre_reads_cyclic_kummer_algebras_as_symbols(capsys):
+    # cyclic_kummer(a; b; n) is the symbol algebra (a, b)_n: same payload
+    field = ["centre", "--field", "Qp(17)[zeta_4]((t1))((t2))", "--algebra"]
+    docs = []
+    for kind in ("cyclic_kummer", "symbol"):
+        code, doc = run_json(capsys, field + [f"{kind}(3; t1; 2) (*) {kind}(17; t2; 2)"])
+        assert code == EXIT_OK
+        del doc["payload"]["inputs"]["algebra"]
+        docs.append(doc["payload"])
+    assert docs[0] == docs[1]
+    assert docs[0]["certificate"] == "computed nonzero"
+
+
 def test_invariant_kmrt(capsys):
     code, doc = run_json(capsys, [
         "invariant", "kmrt", "--field", "Q",

@@ -19,6 +19,9 @@ from skone.fields import (
     PAdicDescriptor,
     Rationals,
     RootAdjunction,
+    _cyclic_log,
+    _hensel_root_unit,
+    _residue_of_exact_order,
     factorize,
     is_nth_power,
     laurent_split,
@@ -26,6 +29,8 @@ from skone.fields import (
     primitive_root_of_unity,
 )
 from skone.poly import Poly
+
+from oracles import brute_dlog_table, first_nth_roots, residue_of_exact_order_scan
 
 TOWERS = ["Q", "F(7)", "F(49)", "F(121)", "Qp(5)", "Qp(2)",
           "Q((t))", "F(7)((t))", "Qp(5)((t1))((t2))",
@@ -402,3 +407,103 @@ def test_importing_the_oracles_does_not_import_sympy():
     code = "import oracles, sys; assert 'sympy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": f"{tests.parent / 'src'}{os.pathsep}{tests}"})
+
+
+# --- one discrete log: roots, logs and residues of a given order -------------
+
+@pytest.mark.parametrize("q", (3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121, 125, 243, 343))
+def test_nth_roots_are_the_first_root_the_enumeration_finds(q):
+    # decision and witness agree with enumerating F_q: the witness is the
+    # first n-th root in elements() order
+    F = FiniteField(q)
+    for n in (2, 3, 4, 5, 6, 8):
+        roots = first_nth_roots(F, n)
+        for x in F.elements():
+            if x.is_zero():
+                continue
+            res = is_nth_power(x, n)
+            want = roots.get(tuple(x.payload))
+            assert res.is_power == (want is not None), (q, n, x)
+            if want is not None:
+                assert res.witness.payload == want.payload, (q, n, x)
+
+
+def test_residue_of_exact_order_matches_the_scan():
+    # every m | p - 1 for p <= 1009, errors included (m = 1, so all of p = 2)
+    for p in (p for p in range(2, 1010) if factorize(p) == {p: 1}):
+        for m in (m for m in range(1, p) if (p - 1) % m == 0):
+            try:
+                want = residue_of_exact_order_scan(p, m)
+            except ValueError:
+                with pytest.raises(InconsistentConstruction):
+                    _residue_of_exact_order(p, m)
+            else:
+                assert _residue_of_exact_order(p, m) == want, (p, m)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 31, 37, 41, 59])
+def test_hensel_roots_lift_the_least_root_mod_p(p):
+    for n in range(2, 9):
+        if n % p == 0:
+            continue
+        d = math.gcd(n, p - 1)
+        for u in range(1, p):
+            if pow(u, (p - 1) // d, p) != 1:
+                continue
+            least = min(r for r in range(1, p) if pow(r, n, p) == u)
+            for prec in (1, 3, 6):
+                unit = u + 7 * p
+                y = _hensel_root_unit(unit, n, p, prec)
+                assert y % p == least, (p, n, u)
+                assert pow(y, n, p ** prec) == unit % p ** prec, (p, n, u, prec)
+
+
+@pytest.mark.parametrize("q", (3, 4, 7, 8, 9, 16, 25, 27, 49, 64, 81))
+def test_cyclic_log_inverts_the_powers_of_the_generator(q):
+    F = FiniteField(q)
+    g = F.multiplicative_generator()
+    table = brute_dlog_table(F)
+    for x in F.elements():
+        k = table.get(tuple(x.payload))
+        assert _cyclic_log(x, g, q - 1, FieldElement.__mul__, F.one()) == k, (q, x)
+
+
+def test_root_adjunction_zeta_is_the_base_root_of_unity():
+    for desc in ("F(7)", "F(49)", "F(16)", "Qp(13)", "Qp(7)", "Qp(2)"):
+        base = parse_field(desc)
+        for m in range(1, 13):
+            try:
+                L = RootAdjunction(base, m)
+            except InconsistentConstruction:
+                continue
+            z = L.zeta()
+            assert z == FieldElement(L, primitive_root_of_unity(base, m)[0].payload)
+            assert (z ** m).is_one()
+            assert all(not (z ** (m // r)).is_one() for r in factorize(m))
+
+
+def test_no_log_root_or_artin_schreier_solve_walks_the_field(monkeypatch):
+    # with the generators found, nothing below may enumerate a finite field
+    from skone.ktheory import dlog_mod
+    from skone.wittvec import LiftDatum, LogDiffClass, WittVector, i_star
+    F39, F215 = FiniteField(3 ** 9), FiniteField(2 ** 15)
+    g39, g215 = F39.multiplicative_generator(), F215.multiplicative_generator()
+
+    def refuse(self):
+        raise AssertionError(f"{self} was enumerated")
+    monkeypatch.setattr(FiniteField, "elements", refuse)
+    for k in (2, 6, 1000, 19680):
+        for n in (2, 3, 4):
+            res = is_nth_power(g39 ** k, n)
+            assert res.is_power == (k % math.gcd(n, 3 ** 9 - 1) == 0)
+            if res.is_power:
+                assert res.witness ** n == g39 ** k
+    for k in (1, 12345, 32766):
+        assert dlog_mod(F215, g215 ** k, 7 * 31) == k % (7 * 31)
+    F2 = FiniteField(2)
+    w = WittVector(F2, [1, 0, 0])
+    img = i_star(LogDiffClass(F2, 3, 0, [(w, ())]), LiftDatum(F2, parse_field("Qp(2)")))
+    assert img[0].character.order == 8
+    E = img[0].character.solution_field
+    v = img[0].character.solution
+    assert v.frobenius() - v == WittVector(E, [E.one(), E.zero(), E.zero()])

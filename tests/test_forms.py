@@ -386,3 +386,28 @@ def test_definite_i3_form_keeps_witness_splitting():
     c = witt_class(QuadraticForm(Q, [1] * 8 + [2, -2]).perp(pfister(Q, [3, 5, 7])))
     assert c.provenance == SIGNATURE_CLASS
     assert [str(d) for d in c.kernel.diag] == ["1"] * 8 and c.hyperbolic_rank == 5
+
+
+def test_char2_witt_kernel_is_the_first_element_of_trace_one():
+    # every anisotropic class over F(2^e) is [1, c] for the first c in
+    # elements() order for which x^2 + x = c has no root, up to F(256)
+    for e in range(1, 9):
+        F = FiniteField(2 ** e)
+        elems = list(itertools.islice(F.elements(), 16))
+        first = next(c for c in F.elements() if not artin_schreier_roots(c))
+        for c in (c for c in elems if not artin_schreier_roots(c)):
+            for a in elems[1:4]:
+                wc = witt_class(QuadraticForm(F, (), [(a, c / a), (a, F.zero())]))
+                assert wc.hyperbolic_rank == 1, (e, c, a)
+                assert wc.kernel.blocks == ((F.one(), first),), (e, c, a)
+
+
+def test_finite_isotropy_ternary_branch_witness():
+    # 101^4 elements are too many to enumerate, so the witness comes from
+    # the ternary subform and a square root
+    F = FiniteField(101)
+    q = QuadraticForm(F, [1, 2, 3, 5])
+    res = isotropy(q)
+    assert res.isotropic and res.certificate == "ternary subform search"
+    assert [str(x) for x in res.witness] == ["0", "1", "29", "0"]
+    assert q.eval(list(res.witness)).is_zero()

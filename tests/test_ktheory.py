@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -7,14 +8,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import (
+    brute_dlog_mod_p,
+    brute_dlog_table,
     qp_nth_power,
     qp_ternary_solvable,
     relative_group_oracle,
+    residue_of_exact_order_scan,
     tame_norm_oracle,
+    tame_symbol_log,
 )
 import skone.ktheory
 from skone.algebras import symbol_algebra, tensor
-from skone.errors import Undecided, UnsupportedTower
+from skone.errors import InconsistentConstruction, Undecided, UnsupportedTower
 from skone.fields import (
     FiniteField,
     PAdicDescriptor,
@@ -148,7 +153,6 @@ def test_pairing_vs_solvability_oracle():
 
 def test_pairing_vs_norm_oracle_tame():
     from skone.fields import _residue_of_exact_order
-    from skone.ktheory import _dlog_mod_p
     for p, m in ((7, 3), (13, 4), (11, 5)):
         K = PAdicDescriptor(p)
         g = _residue_of_exact_order(p, p - 1)
@@ -159,8 +163,8 @@ def test_pairing_vs_norm_oracle_tame():
             ub = rng.randint(1, p - 1)
             a = K.elem(Fraction(p) ** va * ua)
             b = K.elem(Fraction(p) ** vb * ub)
-            da = _dlog_mod_p(ua, g, p) % m
-            db = _dlog_mod_p(ub, g, p) % m
+            da = brute_dlog_mod_p(ua, g, p) % m
+            db = brute_dlog_mod_p(ub, g, p) % m
             want = tame_norm_oracle(va, da, vb, db, p, m)
             if want is None:
                 continue
@@ -502,3 +506,45 @@ def test_symbol_antisymmetry_hypothesis(a, b):
     lhs = hilbert_pairing(Q5.elem(a), Q5.elem(b), m)
     rhs = hilbert_pairing(Q5.elem(b), Q5.elem(a), m)
     assert (lhs + rhs) % m == 0
+
+
+@pytest.mark.parametrize("q", (3, 4, 7, 8, 9, 16, 25, 27, 49, 64, 81, 121))
+def test_dlog_mod_matches_the_walk_over_the_powers(q):
+    F = FiniteField(q)
+    table = brute_dlog_table(F)
+    for x in F.elements():
+        for m in (2, 3, 4, 6, 8, 12):
+            if x.is_zero():
+                if math.gcd(m, q - 1) > 1:
+                    with pytest.raises(InconsistentConstruction):
+                        dlog_mod(F, x, m)
+                continue
+            assert dlog_mod(F, x, m) == table[tuple(x.payload)] % math.gcd(m, q - 1)
+
+
+def test_tame_pairing_matches_the_walk_over_mu_m():
+    from skone.ktheory import _tame_pairing
+    for p in (3, 5, 7, 11, 13, 31, 37, 41):
+        K = PAdicDescriptor(p)
+        for m in (m for m in range(1, p) if (p - 1) % m == 0):
+            for va, vb in itertools.product((-1, 0, 2), (-2, 0, 1)):
+                for ua, ub in itertools.product(range(1, min(p, 9)), (1, 2, p - 1)):
+                    a = K.elem(Fraction(p) ** va * ua)
+                    b = K.elem(Fraction(p) ** vb * ub)
+                    assert _tame_pairing(K, a, b, m) == \
+                        tame_symbol_log(va, ua, vb, ub, p, m), (p, m, va, ua, vb, ub)
+
+
+def test_degree_one_unit_reads_match_the_brute_log():
+    # Q_p^x/m: the unit coordinate is the log mod gcd(m, p - 1) to the base
+    # of the least primitive root
+    for p in (3, 5, 7, 13, 31, 41):
+        K = PAdicDescriptor(p)
+        g = residue_of_exact_order_scan(p, p - 1)
+        for m in (2, 3, 4, 6, 10):
+            if m % p == 0:
+                continue
+            d = math.gcd(m, p - 1)
+            for u in range(1, p):
+                v, c = top_coordinate(symbol(K, [K.elem(u + p)], m)).value
+                assert (v, c) == (0, brute_dlog_mod_p(u, g, p) % d), (p, m, u)

@@ -9,6 +9,7 @@ from oracles import (
     artin_schreier_image,
     brute_character_order,
     ghost_check,
+    greedy_as_solution,
     sympy_witt_polynomials,
 )
 from skone.algebras import p_algebra, symbol_algebra, tensor
@@ -18,6 +19,8 @@ from skone.wittvec import (
     LiftDatum,
     LogDiffClass,
     WittVector,
+    _canonical_as_solution,
+    _embed_ff,
     character_order,
     coh_lift_equal,
     i_star,
@@ -330,3 +333,31 @@ def test_i_star_solves_over_the_degree_of_the_order(q, l, order, field):
     E = ch.solution_field
     lifted_w = WittVector(E, [E.elem(int(str(c))) for c in ch.w.components])
     assert ch.solution.frobenius() - ch.solution == lifted_w
+
+
+@pytest.mark.parametrize("q,l", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2)])
+def test_artin_schreier_witt_solution_is_the_greedy_one(q, l):
+    # the closed-form solve gives the solution the componentwise search
+    # over F_(q^e) picks; over F(3) with l = 2 only characters of order <= 3,
+    # whose F(27) the search can walk
+    F = FiniteField(q)
+    for w in all_witt_vectors(F, l):
+        if q == 3 and l == 2 and not w.components[0].is_zero():
+            continue
+        v, Fe = _canonical_as_solution(w)
+        wl = WittVector(Fe, [_embed_ff(c, Fe) for c in w.components])
+        assert v == greedy_as_solution(Fe, wl), w
+        assert v.frobenius() - v == wl, w
+
+
+def test_character_data_of_i_star_match_the_greedy_solution():
+    F4 = FiniteField(4)
+    datum = LiftDatum(F4, parse_field("Qp(2)"))
+    # w of trace 0 is a relator of the class, so only the others have an image
+    for w in (w for w in all_witt_vectors(F4, 2) if witt_trace(w)):
+        img = i_star(LogDiffClass(F4, 2, 0, [(w, ())]), datum, drop_trivial=False)
+        ch = img[0].character
+        E = ch.solution_field
+        wl = WittVector(E, [_embed_ff(c, E) for c in w.components])
+        assert ch == CharacterDatum(w, greedy_as_solution(E, wl), E,
+                                    character_order(w), 2 ** 2), w
