@@ -1053,13 +1053,6 @@ def commutator(A: AlgebraPresentation, x: AlgElement, y: AlgElement) -> AlgEleme
     return (x * y) * A.inverse(y * x)
 
 
-def sl1_sample(A: AlgebraPresentation, rng: _random.Random, span: int = 3,
-               tries: int = 200) -> AlgElement:
-    """A random commutator of two random invertible elements."""
-    return commutator(A, random_invertible(A, rng, span, tries),
-                      random_invertible(A, rng, span, tries))
-
-
 def random_invertible(A: AlgebraPresentation, rng: _random.Random,
                       span: int = 3, tries: int = 200) -> AlgElement:
     for _ in range(tries):

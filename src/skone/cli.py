@@ -261,7 +261,13 @@ def _run_form(args):
         }
         certs.append(("isotropy", "computed", res.certificate))
     if args.op in ("witt", "level", "all"):
-        wc = witt_class(q)
+        try:
+            wc = witt_class(q)
+        except UnsupportedTower as exc:
+            if args.op != "all":
+                raise
+            payload["witt"] = "unsupported"  # the isotropy answer stands
+            return payload, certs + [("witt", "undecided", str(exc))]
         payload["witt"] = {"anisotropic_kernel": repr(wc.kernel),
                            "hyperbolic_rank": wc.hyperbolic_rank,
                            "provenance": wc.provenance}

@@ -323,9 +323,6 @@ class FieldTower:
 class Rationals(FieldTower):
     characteristic = 0
 
-    def _key(self):
-        return ()
-
     def __str__(self):
         return "Q"
 
@@ -441,7 +438,8 @@ class FiniteField(FieldTower):
         return " + ".join(terms) if terms else "0"
 
     def elements(self):
-        """Iterate over all q elements (generator, used by brute-force oracles)."""
+        """Iterate over the q elements by reversed payload (0, 1, ..., g, ...):
+        test oracles walk all of it, the library's scans stop at a first hit."""
         def rec(i):
             if i == self.e:
                 yield ()

@@ -5,7 +5,7 @@ binary blocks [a,b] (a x^2 + x y + b y^2) plus a diagonal remainder.
 
 Isotropy dispatch:
   Q          Hasse-Minkowski local conditions + meet-in-the-middle witness search
-  F_q        exhaustive / targeted search
+  F_q        closed form: dimension, one square class or the Arf trace
   Q_p        the local conditions alone
   k((t))...  Springer residue decomposition (residue characteristic != 2)
 
@@ -37,6 +37,7 @@ from .fields import (
     PAdicDescriptor,
     Rationals,
     RootAdjunction,
+    _artin_schreier_root,
     _field_trace,
     _jacobi,
     _trace_one,
@@ -76,14 +77,10 @@ class QuadraticForm:
         self.char2 = tower.characteristic == 2
         self.diag = tuple(tower.elem(d) for d in diag)
         self.blocks = tuple((tower.elem(a), tower.elem(b)) for a, b in blocks)
-        if not self.char2:
-            if self.blocks:
-                raise InconsistentConstruction("binary blocks are a char-2 presentation")
-            if any(d.is_zero() for d in self.diag):
-                raise InconsistentConstruction("diagonal entries must be nonzero")
-        else:
-            if any(d.is_zero() for d in self.diag):
-                raise InconsistentConstruction("diagonal entries must be nonzero")
+        if self.blocks and not self.char2:
+            raise InconsistentConstruction("binary blocks are a char-2 presentation")
+        if any(d.is_zero() for d in self.diag):
+            raise InconsistentConstruction("diagonal entries must be nonzero")
 
     @property
     def dim(self) -> int:
@@ -431,44 +428,74 @@ def _witness_search(diag: list[int]):
 # --- F_q ---------------------------------------------------------------------
 
 def _isotropy_finite(q: QuadraticForm) -> IsotropyResult:
+    """Decided by _represents; the witness is what enumerating F_q^n would
+    meet first (_first_zero)."""
     F: FiniteField = effective_tower(q.tower)
-    n = q.dim
-    if n == 1:
-        return IsotropyResult(False, None, "one-dimensional form")
-    # lexicographic search in payload order; first witness is deterministic
-    if F.q ** n <= 4_000_000:
-        elems = list(F.elements())
-        for vec in itertools.product(elems, repeat=n):
-            if all(v.is_zero() for v in vec):
-                continue
-            if q.eval(vec).is_zero():
-                return IsotropyResult(True, tuple(vec), "exhaustive search")
-        return IsotropyResult(False, None, "exhaustive search")
-    if not q.char2 and n >= 3:
-        # Chevalley-Warning guarantees a zero on the first three coordinates;
-        # solve c z^2 = -(a x^2 + b y^2) by a square-root lookup
-        elems = list(F.elements())
-        a, b, c = q.diag[0], q.diag[1], q.diag[2]
-        cinv = c.inverse()
-        for x in elems:
-            for y in elems:
-                if x.is_zero() and y.is_zero():
-                    continue
-                rhs = -(a * x * x + b * y * y) * cinv
-                z = _finite_sqrt(rhs, F)
-                if z is not None:
-                    wit = [x, y, z] + [F.zero()] * (n - 3)
-                    assert q.eval(wit).is_zero()
-                    return IsotropyResult(True, tuple(wit), "ternary subform search")
-        return IsotropyResult(False, None, "search exhausted")
-    raise UnsupportedTower("finite-field isotropy search space too large")
+    pieces = [tuple(FieldElement(F, x.payload) for x in ab) for ab in q.blocks]
+    pieces += [FieldElement(F, d.payload) for d in q.diag]
+    iso = _represents(pieces, F.zero(), True)
+    if q.dim != 2:
+        cert = "dim >= 3 over F_q (Chevalley-Warning)" if iso else "one-dimensional form"
+    elif q.blocks:
+        cert = f"Arf: Tr(ab) = {0 if iso else 1}"
+    else:
+        cert = f"binary: -a1 a2 is {'a' if iso else 'not a'} square"
+    return IsotropyResult(iso, _first_zero(F, pieces) if iso else None, cert)
 
 
-def _finite_sqrt(x: FieldElement, F: FiniteField):
+def _represents(pieces, t: FieldElement, nonzero: bool) -> bool:
+    """Whether the form with these pieces (char-2 blocks (a, b), diagonal
+    entries d) takes the value t, at a nonzero vector if nonzero is set.
+    Over F_q every form of dimension >= 2 takes every nonzero value and one
+    of dimension >= 3 is isotropic (Chevalley-Warning; Serre, A Course in
+    Arithmetic, I 2 and IV 1.7); <d> takes t iff t/d is a square, <d1, d2>
+    is isotropic iff -d1 d2 is a square and [a, b] iff Tr(ab) = 0 (Arf)."""
+    n = sum(2 if isinstance(p, tuple) else 1 for p in pieces)
+    if not t.is_zero():
+        return n > 1 or (n == 1 and is_nth_power(t / pieces[0], 2).is_power)
+    if not nonzero or n != 2:
+        return not nonzero or n > 2
+    if len(pieces) == 1:
+        return _field_trace(pieces[0][0] * pieces[0][1]).is_zero()
+    return is_nth_power(-(pieces[0] * pieces[1]), 2).is_power
+
+
+def _first_zero(F: FiniteField, pieces) -> tuple:
+    """The first nonzero zero in elements() order, one coordinate at a time:
+    the first value after which the rest can still reach zero, and last the
+    least root of b y^2 + x y = t (a diagonal entry b has x = 0)."""
+    vec, t, fresh = [], F.zero(), True  # t: what the open coordinates must take
+    for i, piece in enumerate(pieces):
+        rest = pieces[i + 1:]
+        a, b = piece if isinstance(piece, tuple) else (None, piece)
+        x = F.zero()
+        if a is not None:
+            # x = 0 fails only when nothing follows and either b = 0, t != 0
+            # or the block itself must be isotropic (Tr(ab) = 0): x = 1 serves
+            if not _represents(([b] if not b.is_zero() else []) + rest, t,
+                               fresh and not b.is_zero()):
+                x = F.one()
+            vec.append(x)
+            t, fresh = t - a * x * x, fresh and x.is_zero()
+        if rest:
+            y = next(y for y in F.elements()
+                     if _represents(rest, t - (b * y + x) * y, fresh and y.is_zero()))
+        else:
+            y = _least_root(b, x, t, fresh)
+        vec.append(y)
+        t, fresh = t - (b * y + x) * y, fresh and y.is_zero()
+    return tuple(vec)
+
+
+def _least_root(b, x, t, nonzero: bool):
+    """The first y in elements() order with b y^2 + x y = t (nonzero if asked)."""
+    if b.is_zero():
+        return t / x if not x.is_zero() else t.tower.elem(int(nonzero))
     if x.is_zero():
-        return F.zero()
-    res = is_nth_power(x, 2)
-    return res.witness if res.is_power else None
+        return t if t.is_zero() else is_nth_power(t / b, 2).witness
+    s = x / b  # y = s z turns the equation into z^2 + z = b t / x^2
+    y = s * _artin_schreier_root(b * t / (x * x))
+    return min(y, y + s, key=lambda e: e.payload[::-1])
 
 
 # --- Q_p ----------------------------------------------------------------------

@@ -198,9 +198,6 @@ class Sk1Result:
     division: str               # "computed certificate" | "paper-cited certificate"
     division_detail: str
 
-    def describe(self) -> str:
-        return self.group
-
 
 def sk1_platonov(cfg: PlatonovConfig) -> Sk1Result:
     """SK1 of the Platonov algebra over k((t1))((t2)) as the Brauer quotient

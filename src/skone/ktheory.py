@@ -99,9 +99,6 @@ class KClass:
         return KClass(self.tower, self.degree, self.modulus,
                       [(-c, s) for c, s in self.terms], normalized=True)
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def scale(self, k: int) -> "KClass":
         m = self.modulus
         return KClass(self.tower, self.degree, m,

@@ -177,18 +177,6 @@ def witt_zero(tower: FieldTower, l: int) -> WittVector:
     return WittVector(tower, [tower.zero()] * l)
 
 
-def witt_add(u: WittVector, v: WittVector) -> WittVector:
-    return u + v
-
-
-def witt_neg(u: WittVector) -> WittVector:
-    return -u
-
-
-def frobenius(u: WittVector) -> WittVector:
-    return u.frobenius()
-
-
 def pi_projection(w: WittVector) -> WittVector:
     """W_2(k) -> W_1(k): (a0, a1) -> (a0) (p = 2)."""
     if w.p != 2 or w.length != 2:
@@ -274,17 +262,6 @@ class LogDiffClass:
                 continue  # relator (iii): w lies in (F - 1)W_l
             out.append((w, slots))
         return out
-
-    def __add__(self, other: "LogDiffClass") -> "LogDiffClass":
-        if (other.tower != self.tower or other.length != self.length
-                or other.q != self.q):
-            raise InconsistentConstruction("log-diff class mismatch")
-        return LogDiffClass(self.tower, self.length, self.q,
-                            self.terms + other.terms)
-
-    def __neg__(self):
-        return LogDiffClass(self.tower, self.length, self.q,
-                            [(-w, s) for w, s in self.terms])
 
     def is_syntactically_zero(self) -> bool:
         return not self.terms

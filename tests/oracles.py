@@ -35,6 +35,15 @@ def witness_box_search(diag: list[int], box: int):
     return None
 
 
+def first_isotropic_vector(q):
+    """The first nonzero zero of a form over F_q: F_q^n enumerated with the
+    first coordinate most significant, each in elements() order."""
+    for vec in itertools.product(list(q.tower.elements()), repeat=q.dim):
+        if any(not v.is_zero() for v in vec) and q.eval(vec).is_zero():
+            return tuple(vec)
+    return None
+
+
 def qp_ternary_solvable(a: int, b: int, p: int) -> bool:
     """z^2 = a x^2 + b y^2 solvable over Q_p: Springer + residue enumeration
     for odd p; bounded 2-adic enumeration with a Hensel margin for p = 2."""

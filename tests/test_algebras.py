@@ -21,7 +21,6 @@ from skone.algebras import (
     p_algebra,
     pfaffian_data,
     random_invertible,
-    sl1_sample,
     symbol_algebra,
     tensor,
     tensor_involution,
@@ -454,6 +453,25 @@ def test_pfaffian_rejects_outsiders():
     assert not sigma.symd_contains(outside)
     with pytest.raises(InconsistentConstruction):
         pfaffian_data(sigma, outside)
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_pfaffian_char2_branch(q):
+    # the tensor of the two canonical involutions is symplectic in
+    # characteristic 2, where Prp is the square root of Prd
+    F = FiniteField(q)
+    Q1, Q2 = p_algebra(F, 1, 1), p_algebra(F, 0, 1)
+    A = tensor(Q1, Q2)
+    sigma = tensor_involution(A, canonical_involution(Q1), canonical_involution(Q2))
+    assert sigma.kind() == "symplectic"
+    elems = list(F.elements())
+    rng = random.Random(q)
+    for _ in range(3):
+        x = A.element([rng.choice(elems) for _ in range(A.dim)])
+        a = x + sigma.apply(x)
+        pf = pfaffian_data(sigma, a)
+        assert pf.prp * pf.prp == A.reduced_char_poly(a)
+        assert pf.nrp * pf.nrp == A.nrd(a)
 
 
 def test_sl1_and_commutators():

@@ -141,6 +141,18 @@ def test_form_command(capsys):
     assert doc["payload"]["isotropy"]["witness"] == ["1", "2", "3"]
 
 
+def test_form_over_a_large_char2_field(capsys):
+    # the isotropy answer stands; the Witt class of a form with a diagonal
+    # (singular) char-2 part is out of scope, and only --op all reports that
+    code, doc = run_json(capsys, ["form", "--field", "F(2048)", "diag(1,1,1)"])
+    assert code == EXIT_OK
+    assert doc["payload"]["isotropy"]["witness"] == ["0", "1", "1"]
+    assert doc["payload"]["witt"] == "unsupported"
+    code, doc = run_json(capsys, ["form", "--field", "F(2048)", "diag(1,1,1)",
+                                  "--op", "witt"])
+    assert code == EXIT_UNSUPPORTED
+
+
 def test_form_with_bindings(capsys):
     code, doc = run_json(capsys, [
         "form", "--field", "Qp(5)", "pfister(4*a+1; b; 4*c+1)",

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import (
     artin_schreier_roots,
     diagonalize_gram_oracle,
+    first_isotropic_vector,
     local_invariants,
     qp_ternary_solvable,
     springer_brute_isotropy,
@@ -16,7 +17,7 @@ from oracles import (
     witness_box_search,
 )
 from skone.errors import Undecided
-from skone.fields import FiniteField, PAdicDescriptor, Rationals, parse_field
+from skone.fields import FiniteField, PAdicDescriptor, Rationals, is_nth_power, parse_field
 from skone.forms import (
     SIGNATURE_CLASS,
     QuadraticForm,
@@ -402,12 +403,57 @@ def test_char2_witt_kernel_is_the_first_element_of_trace_one():
                 assert wc.kernel.blocks == ((F.one(), first),), (e, c, a)
 
 
-def test_finite_isotropy_ternary_branch_witness():
-    # 101^4 elements are too many to enumerate, so the witness comes from
-    # the ternary subform and a square root
+def test_finite_isotropy_witness_is_the_first_zero_in_dimension_four():
+    # 101^4 vectors: the witness is built coordinate by coordinate, and it is
+    # the first zero an enumeration would meet
     F = FiniteField(101)
     q = QuadraticForm(F, [1, 2, 3, 5])
     res = isotropy(q)
-    assert res.isotropic and res.certificate == "ternary subform search"
-    assert [str(x) for x in res.witness] == ["0", "1", "29", "0"]
+    assert res.isotropic and res.certificate == "dim >= 3 over F_q (Chevalley-Warning)"
+    assert [str(x) for x in res.witness] == ["0", "1", "1", "10"]
     assert q.eval(list(res.witness)).is_zero()
+
+
+@st.composite
+def finite_forms(draw):
+    """Forms over F_q with q^dim <= 2*10^4: diagonal for odd q; for q = 2^e
+    binary blocks (zero entries allowed) mixed with diagonal entries."""
+    q = draw(st.sampled_from([3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 2, 4, 8, 16]))
+    F = FiniteField(q)
+    elems = list(F.elements())
+    max_dim = max(n for n in range(1, 6) if q ** n <= 20000)
+    if q % 2:
+        dim = draw(st.integers(1, min(4, max_dim)))
+        return QuadraticForm(F, draw(st.lists(st.sampled_from(elems[1:]),
+                                              min_size=dim, max_size=dim)))
+    n_blocks = draw(st.integers(0, max_dim // 2))
+    n_diag = draw(st.integers(0 if n_blocks else 1, max_dim - 2 * n_blocks))
+    blocks = draw(st.lists(st.tuples(st.sampled_from(elems), st.sampled_from(elems)),
+                           min_size=n_blocks, max_size=n_blocks))
+    diag = draw(st.lists(st.sampled_from(elems[1:]), min_size=n_diag, max_size=n_diag))
+    return QuadraticForm(F, diag, blocks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(finite_forms())
+def test_finite_isotropy_matches_the_enumeration(q):
+    res = isotropy(q)
+    assert res.witness == first_isotropic_vector(q)
+    assert res.isotropic == (res.witness is not None)
+
+
+def test_finite_binary_anisotropy_is_one_square_test(monkeypatch):
+    # <1, -c> with c the least non-square of F(401): decided without any
+    # walk over the field
+    F = FiniteField(401)
+    c = next(x for x in F.elements() if not x.is_zero() and not is_nth_power(x, 2))
+    monkeypatch.setattr(FiniteField, "elements", None)
+    res = isotropy(QuadraticForm(F, [1, -c]))
+    assert not res.isotropic and res.certificate == "binary: -a1 a2 is not a square"
+
+
+def test_finite_isotropy_in_a_large_char2_field():
+    F = FiniteField(2 ** 11)
+    res = isotropy(QuadraticForm(F, [1, 1, 1]))
+    assert res.isotropic and res.certificate == "dim >= 3 over F_q (Chevalley-Warning)"
+    assert [str(x) for x in res.witness] == ["0", "1", "1"]
