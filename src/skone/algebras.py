@@ -13,14 +13,16 @@ form: with x^n = a, y^n = b and y x = zeta^{-1} x y,
 (x^r1 y^s1)(x^r2 y^s2) = zeta^{-s1 r2} a^[r1+r2 >= n] b^[s1+s2 >= n]
 x^(r1+r2 mod n) y^(s1+s2 mod n), so it checks a != 0, b != 0 and that zeta
 is a primitive n-th root of unity, and its table is built on first use.  The
-other cyclic presentations (p-algebras and the twisted lift) check their
-defining relations instead: sigma(u) is a root of f (so u -> sigma(u)
-extends to a ring endomorphism of K), sigma^n(u) = u, and b is a nonzero
-element of the base (so sigma fixes it).  Together they make
+other cyclic presentations are written from sigma^s(u) in closed form too:
+sigma^s(u) = u - s for the p-algebra u^p - u = a, and u, -1 - u for the
+twisted lift u^2 + u = a.  Each is a root of f, so u -> sigma(u) extends to
+a ring automorphism of K = k[u]/(f), and sigma^n = id; with b a nonzero
+element of the base (the one relation still checked) they make
 K[v; sigma]/(v^n - b) an associative unital algebra with basis u^r v^s.  A
 tensor product of two associative tables is associative, and is built on
-first use too.  The exhaustive basis-triple check is a test oracle
-(tests/oracles.py, ``associativity_defect``).
+first use too.  The generic constructor that checks the sigma relations
+(``cyclic_presentation``) and the exhaustive basis-triple check
+(``associativity_defect``) are test oracles in tests/oracles.py.
 
 Involutions are built by construction too, and not re-verified: the
 canonical involution z -> Trd(z) - z of a degree-2 algebra, the tensor
@@ -137,25 +139,13 @@ class AlgElement:
     def __sub__(self, other):
         return self + (-self.algebra.coerce(other))
 
-    def __rsub__(self, other):
-        return self.algebra.coerce(other) - self
-
     def __mul__(self, other):
         o = self.algebra.coerce(other)
         return self.algebra.mul(self, o)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, FieldElement)):
-            return self.scale(other)
-        return self.algebra.coerce(other) * self
-
     def scale(self, c) -> "AlgElement":
         c = self.algebra.base.elem(c)
         return AlgElement(self.algebra, [c * a for a in self.coords])
-
-    def __truediv__(self, other):
-        o = self.algebra.coerce(other)
-        return self * self.algebra.inverse(o)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -210,7 +200,7 @@ class AlgebraPresentation:
         self.gens = gens or {}
         self.period_bound = degree
         # caches
-        self._cyclic = None          # (K, (Lu, Lv), ext_deg, n) regular rep data
+        self._cyclic = None          # (K, Lu, Lv): regular rep data over K
         self._monomial_mats = None
         self._trd_basis = None
         self._trace_form = None
@@ -309,15 +299,16 @@ class AlgebraPresentation:
                 for i2, m2 in rmats.items():
                     mats[i1 * self.tag.right.dim + i2] = _kron(L1, m2, K)
         else:
-            K, (Lu, Lv), ext_deg, n = self._cyclic
+            K, Lu, Lv = self._cyclic
+            n = len(Lu)
             pu = identity(K, n)
-            for r in range(ext_deg):
+            for r in range(n):
                 pv = pu
                 for s in range(n):
                     mats[r * n + s] = pv
                     if s < n - 1:
                         pv = mat_mul(pv, Lv, K.zero())
-                if r < ext_deg - 1:
+                if r < n - 1:
                     pu = mat_mul(pu, Lu, K.zero())
         self._K = K
         self._monomial_mats = mats
@@ -532,100 +523,64 @@ def _kron(a, b, K: QuotientRing):
 # constructors
 # ---------------------------------------------------------------------------
 
-def _cyclic_presentation(base: FieldTower, ext_modulus, sigma_u, n: int,
-                         b: FieldElement, tag, gen_names=("x", "y")):
-    """Generic cyclic presentation: K = base[u]/(f), v^n = b, v c = sigma(c) v.
+def _cyclic_presentation(base: FieldTower, ext_modulus, sigma_powers, b: FieldElement,
+                         tag) -> AlgebraPresentation:
+    """The table of K[v; sigma]/(v^n - b), K = base[u]/(f), from sigma^s(u)
+    for s < n in closed form: u^r v^s is basis index r * n + s, and
+    (u^r1 v^s1)(u^r2 v^s2) = u^r1 sigma^s1(u)^r2 [b] v^(s1+s2 mod n).
 
-    It builds `p_algebra` and `twisted_lift_quaternion`; for symbol algebras,
-    which `symbol_algebra` writes in closed form, it is the test oracle.
+    ext_modulus: the n coefficients of the monic f below the leading term.
+    sigma_powers[s]: sigma^s(u) as a coefficient vector over base.
 
-    ext_modulus: coefficients of the monic f below the leading term.
-    sigma_u: image of u under sigma, as a K-coefficient vector over base.
-
-    Checks the relations that make K[v; sigma]/(v^n - b) associative and
-    unital -- f(sigma(u)) = 0, sigma^n(u) = u, b a nonzero base element --
-    and raises InconsistentConstruction if one fails.  The table built from
-    them is not re-verified.
-    """
+    The constructors pass a sigma that is a ring automorphism of K of order
+    n by its formula, so those relations are not re-checked here; the
+    generic constructor that checks them is the test oracle
+    (tests/oracles.py, ``cyclic_presentation``).  The table is built on
+    first use; the regular representation Lu = diag(sigma^(-j)(u)), Lv =
+    the shift with corner b, is set at once."""
     if b.is_zero():
         raise InconsistentConstruction("cyclic algebra slot b must be nonzero")
-    ext_deg = len(ext_modulus)
+    n = len(ext_modulus)
     K = QuotientRing(base, list(ext_modulus))
-    u = K.gen()
-    sigma_of_u = QuotElt(K, [base.elem(c) if not isinstance(c, FieldElement) else c
-                             for c in sigma_u] +
-                         [base.zero()] * (ext_deg - len(sigma_u)))
+    spows = [QuotElt(K, [base.elem(c) for c in sp] + [base.zero()] * (n - len(sp)))
+             for sp in sigma_powers]
 
-    # f(sigma(u)) = 0 as sigma(u)^deg == -sum c_i sigma(u)^i: a difference
-    # that cancels to O(p^k) would exhaust the precision of approximate Q_p
-    tail = K.zero()
-    pw = K.one()
-    for c in ext_modulus:
-        tail = tail - K.coerce(c) * pw
-        pw = pw * sigma_of_u
-    if pw != tail:
-        raise InconsistentConstruction(
-            "sigma(u) is not a root of the modulus; sigma is not a ring map")
+    def build_table():
+        bK = K.coerce(b)
+        # rpows[s][r] = sigma^s(u)^r, so rpows[0][r] = u^r
+        rpows = []
+        for sp in spows:
+            pw = [K.one()]
+            for _ in range(n - 1):
+                pw.append(pw[-1] * sp)
+            rpows.append(pw)
+        table = []
+        for r1 in range(n):
+            for s1 in range(n):
+                row = []
+                for r2 in range(n):
+                    w = rpows[0][r1] * rpows[s1][r2]
+                    wb = w * bK
+                    for s2 in range(n):
+                        s = s1 + s2
+                        c, s = (w, s) if s < n else (wb, s - n)
+                        row.append([(rr * n + s, comp) for rr, comp in enumerate(c.vec)
+                                    if not comp.is_zero()])
+                table.append(row)
+        return table
 
-    def sigma(elt: QuotElt) -> QuotElt:
-        acc = K.zero()
-        pw = K.one()
-        for c in elt.vec:
-            acc = acc + K.coerce(c) * pw
-            pw = pw * sigma_of_u
-        return acc
-
-    # sigma powers of u: sigma^j(u), j = 0..n-1; verify sigma^n = id on u
-    spows = [u]
-    for _ in range(n - 1):
-        spows.append(sigma(spows[-1]))
-    if sigma(spows[-1]) != u:
-        raise InconsistentConstruction("sigma does not have order dividing n")
-
-    dim = ext_deg * n
-    uname, vname = gen_names
-
-    # structure constants: (u^r1 v^s1)(u^r2 v^s2) = u^r1 sigma^s1(u)^r2 [b] v^(s1+s2 mod n)
-    table = [[None] * dim for _ in range(dim)]
-    upow = [K.one()]
-    for _ in range(ext_deg - 1):
-        upow.append(upow[-1] * u)
-    spow_pows = {}
-    for s1 in range(n):
-        pw = [K.one()]
-        for _ in range(ext_deg - 1):
-            pw.append(pw[-1] * spows[s1])
-        spow_pows[s1] = pw
-    for r1 in range(ext_deg):
-        for s1 in range(n):
-            i = r1 * n + s1
-            for r2 in range(ext_deg):
-                for s2 in range(n):
-                    j = r2 * n + s2
-                    w = upow[r1] * spow_pows[s1][r2]
-                    s = s1 + s2
-                    if s >= n:
-                        s -= n
-                        w = w * K.coerce(b)
-                    entries = []
-                    for rr, comp in enumerate(w.vec):
-                        if not comp.is_zero():
-                            entries.append((rr * n + s, comp))
-                    table[i][j] = entries
-
-    alg = AlgebraPresentation(base, _monomial_labels(ext_deg, n, uname, vname),
-                              table, tag, degree=max(n, ext_deg),
-                              gens={uname: n if ext_deg > 1 else 0, vname: 1})
-    # Lu = diag(sigma^{-j}(u))
-    alg._cyclic = (K, _regular_rep(K, [spows[(-j) % n] for j in range(n)], b),
-                   ext_deg, n)
+    alg = AlgebraPresentation(base, _monomial_labels(n, "u", "v"), None, tag,
+                              degree=n, gens={"u": n if n > 1 else 0, "v": 1},
+                              table_factory=build_table)
+    alg._cyclic = (K, *_regular_rep(K, [spows[(-j) % n] for j in range(n)], b))
+    alg.period_bound = n
     return alg
 
 
-def _monomial_labels(ext_deg: int, n: int, uname: str, vname: str) -> list[str]:
-    """Labels of the basis u^r v^s, index r * n + s."""
+def _monomial_labels(n: int, uname: str, vname: str) -> list[str]:
+    """Labels of the basis u^r v^s, r, s < n, index r * n + s."""
     labels = []
-    for r in range(ext_deg):
+    for r in range(n):
         for s in range(n):
             bits = []
             if r:
@@ -706,29 +661,28 @@ def symbol_algebra(base: FieldTower, a, b, n: int,
     zero = base.zero()
     diag = [K.gen()] + [QuotElt(K, [zero, zpow[j]] + [zero] * (n - 2))
                         for j in range(1, n)]
-    alg = AlgebraPresentation(base, _monomial_labels(n, n, "x", "y"), None,
+    alg = AlgebraPresentation(base, _monomial_labels(n, "x", "y"), None,
                               SymbolTag(a, b, n, zeta), degree=n,
                               gens={"x": n if n > 1 else 0, "y": 1},
                               table_factory=build_table)
-    alg._cyclic = (K, _regular_rep(K, diag, b), n, n)
+    alg._cyclic = (K, *_regular_rep(K, diag, b))
     alg.period_bound = n
     return alg
 
 
 def p_algebra(base: FieldTower, a, b) -> AlgebraPresentation:
-    """[a,b)_p in characteristic p: u^p - u = a, v^p = b, u v = v (u+1)."""
+    """[a,b)_p in characteristic p: u^p - u = a, v^p = b, u v = v (u+1).
+
+    K = base[u]/(u^p - u - a) and v u v^(-1) = u - 1, so sigma^s(u) = u - s:
+    each is a root of u^p - u - a because s^p = s in F_p, and sigma^p = id."""
     p = base.characteristic
     if p == 0:
         raise InconsistentConstruction("p-algebra needs positive characteristic")
     a = base.elem(a)
     b = base.elem(b)
-    # K = base[u]/(u^p - u - a); v u v^{-1} = u - 1, i.e. sigma(u) = u - 1
     ext_modulus = [-a, -base.one()] + [base.zero()] * (p - 2)
-    sigma_u = [-base.one(), base.one()]
-    alg = _cyclic_presentation(base, ext_modulus, sigma_u, p, b,
-                               PAlgebraTag(a, b, p), gen_names=("u", "v"))
-    alg.period_bound = p
-    return alg
+    return _cyclic_presentation(base, ext_modulus, [[-s, 1] for s in range(p)], b,
+                                PAlgebraTag(a, b, p))
 
 
 def cyclic_kummer(base: FieldTower, a, b, n: int) -> AlgebraPresentation:
@@ -744,18 +698,16 @@ def cyclic_artin_schreier(base: FieldTower, a, b) -> AlgebraPresentation:
 
 
 def twisted_lift_quaternion(base: FieldTower, a, b) -> AlgebraPresentation:
-    """Char-0 presentation u^2 + u = a, v^2 = b, u v = -v (u+1) (the 2-ring lift)."""
+    """Char-0 presentation u^2 + u = a, v^2 = b, u v = -v (u+1) (the 2-ring lift).
+
+    K = base[u]/(u^2 + u - a) and v u v^(-1) = -1 - u, the other root of
+    u^2 + u - a, so sigma is the conjugation of K and has order 2."""
     if base.characteristic == 2:
         raise InconsistentConstruction("the twisted lift lives in characteristic 0")
     a = base.elem(a)
     b = base.elem(b)
-    # K = base[u]/(u^2 + u - a); v u v^{-1} = -u - 1
-    ext_modulus = [-a, base.one()]
-    sigma_u = [-base.one(), -base.one()]
-    alg = _cyclic_presentation(base, ext_modulus, sigma_u, 2, b,
-                               TwistedLiftTag(a, b), gen_names=("u", "v"))
-    alg.period_bound = 2
-    return alg
+    return _cyclic_presentation(base, [-a, base.one()], [[0, 1], [-1, -1]], b,
+                                TwistedLiftTag(a, b))
 
 
 def tensor(left: AlgebraPresentation, right: AlgebraPresentation) -> AlgebraPresentation:

@@ -237,7 +237,11 @@ def _is_irreducible(f: list[int], p: int) -> bool:
 # ---------------------------------------------------------------------------
 
 class FieldTower:
-    """Abstract base: a field in the supported inductive family."""
+    """Abstract base: a field in the supported inductive family.
+
+    Each subclass implements the payload API that FieldElement calls:
+    _payload_from_rational, _add, _neg, _mul, _inv, _eq, _is_zero and
+    _repr_payload."""
 
     characteristic: int
 
@@ -272,31 +276,6 @@ class FieldTower:
 
     def laurent_vars(self) -> list[str]:
         return [v for v, _ in self.residue_chain()]
-
-    # --- subclass API --------------------------------------------------
-    def _payload_from_rational(self, q: Fraction):
-        raise NotImplementedError
-
-    def _add(self, a, b):
-        raise NotImplementedError
-
-    def _neg(self, a):
-        raise NotImplementedError
-
-    def _mul(self, a, b):
-        raise NotImplementedError
-
-    def _inv(self, a):
-        raise NotImplementedError
-
-    def _eq(self, a, b) -> bool:
-        raise NotImplementedError
-
-    def _is_zero(self, a) -> bool:
-        raise NotImplementedError
-
-    def _repr_payload(self, a) -> str:
-        raise NotImplementedError
 
     # --- cleared payload vectors ------------------------------------------
     def _clear(self, payloads):
@@ -1009,9 +988,6 @@ class FieldElement:
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
 
     def __pow__(self, n: int):
         return power(self if n >= 0 else self.inverse(), abs(n), self.tower.one())

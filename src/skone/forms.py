@@ -1013,6 +1013,8 @@ def i_level(c: WittClass) -> LevelCertificate:
     if c.kernel.char2:
         if c.is_zero():
             return LevelCertificate(4, True, "zero class (hyperbolic)")
+        if isinstance(tower, FiniteField):
+            return LevelCertificate(1, True, "nonzero class (W_q(F_q) = Z/2, so I^2_q = 0)")
         return LevelCertificate(1, False,
                                 "even-dimensional; higher char-2 levels unverified")
     if c.is_zero():

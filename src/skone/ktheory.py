@@ -381,18 +381,6 @@ class CohClass:
     kclass: KClass
     character: object | None = None
 
-    @property
-    def tower(self):
-        return self.kclass.tower
-
-    @property
-    def degree(self):
-        return self.kclass.degree + (0 if self.character is None else 1)
-
-    @property
-    def modulus(self):
-        return self.kclass.modulus
-
 
 @dataclass
 class CoordinateRecord:

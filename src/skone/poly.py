@@ -170,12 +170,6 @@ class Poly:
         n = max(len(self.coeffs), len(other.coeffs))
         return Poly(self.tower, [self[i] + other[i] for i in range(n)])
 
-    def __neg__(self):
-        return Poly(self.tower, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return Poly(self.tower, [c * other for c in self.coeffs])
@@ -194,9 +188,6 @@ class Poly:
 
     def __mod__(self, other):
         return self.divmod(other)[1]
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
 
     def monic(self) -> "Poly":
         if self.is_zero():
@@ -282,17 +273,11 @@ class QuotElt:
     def __sub__(self, other):
         return self + (-self.ring.coerce(other))
 
-    def __rsub__(self, other):
-        return self.ring.coerce(other) - self
-
     def __mul__(self, other):
         o = self.ring.coerce(other)
         return self.ring._mul(self, o)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        return power(self, n, self.ring.one())
 
     def __eq__(self, other):
         o = self.ring.coerce(other)

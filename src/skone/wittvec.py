@@ -226,10 +226,6 @@ class LogDiffClass:
         if not normalized:
             self.terms = self._normalize(self.terms)
 
-    @property
-    def degree(self) -> int:
-        return self.q + 1
-
     def _normalize(self, terms):
         finite = isinstance(effective_tower(self.tower), FiniteField)
         # combine like slot tuples first
@@ -494,12 +490,23 @@ class AlgebraLift:
     twisted: object                  # tensor of twisted quaternions over K
     symbol_form: object              # (4a+1, b) (x) (4c+1, d) over K
     generator_map: dict              # symbol generator -> element of twisted
-    relations_verified: bool
-    structure_constants_match: bool
 
 
 def lift_algebra(A, datum: LiftDatum) -> AlgebraLift:
-    """Lift [a,b) (x) [c,d) over a char-2 field to (4a+1,b) (x) (4c+1,d)."""
+    """Lift [a,b) (x) [c,d) over a char-2 field to (4a+1,b) (x) (4c+1,d).
+
+    In each twisted factor u^2 + u = a, v^2 = b, u v = -v (u+1), the images
+    x -> 2u + 1, y -> v of the symbol generators hold the symbol relations
+    by construction:
+      (2u+1)^2 = 4(u^2 + u) + 1 = 4a + 1,
+      v^2 = b,
+      (2u+1) v + v (2u+1) = 2(u v + v u + v) = 0,
+    and the two factors commute inside the tensor product.  So the generator
+    map extends to a unital homomorphism from the symbol form to the
+    twisted form; it is injective because the symbol form is central
+    simple, and the two have the same dimension, so it is an isomorphism.
+    Nothing of this is re-checked here: the checks of the relations and of
+    the structure constants are test oracles (tests/oracles.py)."""
     from .algebras import (PAlgebraTag, TensorTag, symbol_algebra, tensor,
                            twisted_lift_quaternion)
     if datum.p != 2:
@@ -526,66 +533,4 @@ def lift_algebra(A, datum: LiftDatum) -> AlgebraLift:
         "x2": twisted.generator("u2").scale(two) + twisted.one(),
         "y2": twisted.generator("v2"),
     }
-    relations = _check_lift_relations(twisted, images, four * a + one, b,
-                                      four * c + one, d)
-    match = _structure_constants_match(symbol_form, twisted, images)
-    return AlgebraLift(twisted, symbol_form, images, relations, match)
-
-
-def _check_lift_relations(tw, images, aa, bb, cc, dd):
-    i1, j1, i2, j2 = images["x1"], images["y1"], images["x2"], images["y2"]
-    ok = True
-    ok &= (i1 * i1) == tw.one().scale(aa)
-    ok &= (j1 * j1) == tw.one().scale(bb)
-    ok &= (i1 * j1 + j1 * i1).is_zero()
-    ok &= (i2 * i2) == tw.one().scale(cc)
-    ok &= (j2 * j2) == tw.one().scale(dd)
-    ok &= (i2 * j2 + j2 * i2).is_zero()
-    # the two factors commute inside the tensor product
-    ok &= (i1 * i2) == (i2 * i1)
-    ok &= (j1 * j2) == (j2 * j1)
-    ok &= (i1 * j2) == (j2 * i1)
-    ok &= (i2 * j1) == (j1 * i2)
-    return bool(ok)
-
-
-def _structure_constants_match(symbol_form, twisted, images) -> bool:
-    """Verify that mapping generators extends to an isomorphism on the basis."""
-    from .linalg import rank
-    # image of each symbol-basis monomial under the generator map
-    basis_images = []
-    for label_idx in range(symbol_form.dim):
-        img = _monomial_image(symbol_form, label_idx, images, twisted)
-        basis_images.append(img)
-    mat = [list(img.coords) for img in basis_images]
-    if rank(mat, twisted.base) != symbol_form.dim:
-        return False
-    for i in range(symbol_form.dim):
-        for j in range(symbol_form.dim):
-            prod = symbol_form.basis_element(i) * symbol_form.basis_element(j)
-            lhs = basis_images[i] * basis_images[j]
-            rhs = twisted.zero()
-            for k, coeff in enumerate(prod.coords):
-                if not coeff.is_zero():
-                    rhs = rhs + basis_images[k].scale(coeff)
-            if lhs != rhs:
-                return False
-    return True
-
-
-def _monomial_image(symbol_form, idx, images, twisted):
-    # decode the basis index of a tensor of two degree-2 symbol algebras:
-    # idx = (r1*2 + s1)*4 + (r2*2 + s2) with monomial x1^r1 y1^s1 x2^r2 y2^s2
-    i2, rem2 = idx % 4, idx // 4
-    r2, s2 = i2 // 2, i2 % 2
-    r1, s1 = rem2 // 2, rem2 % 2
-    acc = twisted.one()
-    for _ in range(r1):
-        acc = acc * images["x1"]
-    for _ in range(s1):
-        acc = acc * images["y1"]
-    for _ in range(r2):
-        acc = acc * images["x2"]
-    for _ in range(s2):
-        acc = acc * images["y2"]
-    return acc
+    return AlgebraLift(twisted, symbol_form, images)

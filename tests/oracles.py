@@ -2,8 +2,9 @@
 
 These deliberately avoid the production code paths: brute-force enumeration,
 Springer reduction with exhaustive residue searches, ghost components on
-integral polynomial lifts, sympy factorisation and symbolic expansion, and
-exhaustive basis checks straight from the multiplication table.
+integral polynomial lifts, sympy factorisation and symbolic expansion,
+exhaustive basis checks straight from the multiplication table, and the
+generic cyclic-algebra constructor that walks sigma and checks its relations.
 
 sympy is imported inside the four functions that use it, so importing this
 module stays cheap: perfbench/refs.py imports it in every benchmark set-up.
@@ -575,6 +576,156 @@ def associativity_defect(table, triples=None):
         if left != right:
             return f"(e_{i} e_{j}) e_{k} != e_{i} (e_{j} e_{k})"
     return None
+
+
+# --- cyclic presentations and the characteristic-2 lift ------------------------
+
+def cyclic_presentation(base, ext_modulus, sigma_u, n: int, b, tag,
+                        gen_names=("x", "y")):
+    """Generic cyclic presentation: K = base[u]/(f), v^n = b, v c = sigma(c) v.
+
+    ext_modulus: coefficients of the monic f below the leading term.
+    sigma_u: image of u under sigma, as a K-coefficient vector over base.
+
+    The oracle for the closed-form constructors (`symbol_algebra`,
+    `p_algebra`, `twisted_lift_quaternion`): it walks sigma from its value
+    on u, checks the relations that make K[v; sigma]/(v^n - b) associative
+    and unital -- f(sigma(u)) = 0, sigma^n(u) = u, b a nonzero base element --
+    raising InconsistentConstruction if one fails, and forms every table
+    entry by products in K.  Returns the presentation with its table and
+    regular representation set."""
+    from skone.algebras import AlgebraPresentation
+    from skone.errors import InconsistentConstruction
+    from skone.fields import FieldElement
+    from skone.poly import QuotElt, QuotientRing
+
+    if b.is_zero():
+        raise InconsistentConstruction("cyclic algebra slot b must be nonzero")
+    ext_deg = len(ext_modulus)
+    K = QuotientRing(base, list(ext_modulus))
+    u = K.gen()
+    sigma_of_u = QuotElt(K, [base.elem(c) if not isinstance(c, FieldElement) else c
+                             for c in sigma_u] +
+                         [base.zero()] * (ext_deg - len(sigma_u)))
+
+    # f(sigma(u)) = 0 as sigma(u)^deg == -sum c_i sigma(u)^i: a difference
+    # that cancels to O(p^k) would exhaust the precision of approximate Q_p
+    tail = K.zero()
+    pw = K.one()
+    for c in ext_modulus:
+        tail = tail - K.coerce(c) * pw
+        pw = pw * sigma_of_u
+    if pw != tail:
+        raise InconsistentConstruction(
+            "sigma(u) is not a root of the modulus; sigma is not a ring map")
+
+    def sigma(elt):
+        acc = K.zero()
+        pw = K.one()
+        for c in elt.vec:
+            acc = acc + K.coerce(c) * pw
+            pw = pw * sigma_of_u
+        return acc
+
+    # sigma powers of u: sigma^j(u), j = 0..n-1; verify sigma^n = id on u
+    spows = [u]
+    for _ in range(n - 1):
+        spows.append(sigma(spows[-1]))
+    if sigma(spows[-1]) != u:
+        raise InconsistentConstruction("sigma does not have order dividing n")
+
+    dim = ext_deg * n
+    uname, vname = gen_names
+    # (u^r1 v^s1)(u^r2 v^s2) = u^r1 sigma^s1(u)^r2 [b] v^(s1+s2 mod n)
+    table = [[None] * dim for _ in range(dim)]
+    for r1 in range(ext_deg):
+        for s1 in range(n):
+            for r2 in range(ext_deg):
+                for s2 in range(n):
+                    w = K.one()
+                    for _ in range(r1):
+                        w = w * u
+                    for _ in range(r2):
+                        w = w * spows[s1]
+                    s = s1 + s2
+                    if s >= n:
+                        s -= n
+                        w = w * K.coerce(b)
+                    table[r1 * n + s1][r2 * n + s2] = [
+                        (rr * n + s, comp) for rr, comp in enumerate(w.vec)
+                        if not comp.is_zero()]
+    labels = []
+    for r in range(ext_deg):
+        for s in range(n):
+            bits = ([uname if r == 1 else f"{uname}^{r}"] if r else []) + \
+                ([vname if s == 1 else f"{vname}^{s}"] if s else [])
+            labels.append("*".join(bits) or "1")
+    alg = AlgebraPresentation(base, labels, table, tag, degree=max(n, ext_deg),
+                              gens={uname: n if ext_deg > 1 else 0, vname: 1})
+    # Lu = diag(sigma^{-j}(u)), Lv = the shift v e_j = e_(j+1) with corner b
+    Lu = [[spows[(-i) % n] if i == j else K.zero() for j in range(n)]
+          for i in range(n)]
+    Lv = [[K.one() if i == j + 1 else K.zero() for j in range(n)]
+          for i in range(n)]
+    Lv[0][n - 1] = K.coerce(b)
+    alg._cyclic = (K, Lu, Lv)
+    return alg
+
+
+def _lift_monomial(lift, idx: int):
+    """The image under the lift's generator map of the symbol-form basis
+    vector idx = (r1*2 + s1)*4 + (r2*2 + s2), the monomial
+    x1^r1 y1^s1 x2^r2 y2^s2."""
+    images, twisted = lift.generator_map, lift.twisted
+    r1, s1, r2, s2 = (idx >> 3) & 1, (idx >> 2) & 1, (idx >> 1) & 1, idx & 1
+    acc = twisted.one()
+    for name, e in (("x1", r1), ("y1", s1), ("x2", r2), ("y2", s2)):
+        if e:
+            acc = acc * images[name]
+    return acc
+
+
+def check_lift_relations(lift) -> bool:
+    """The images i_k = 2u_k + 1, j_k = v_k of an AlgebraLift hold the
+    relations of its symbol form (4a+1, b) (x) (4c+1, d): i_k^2 and j_k^2
+    are the slots, i_k j_k = -j_k i_k, and the two factors commute."""
+    tw, images = lift.twisted, lift.generator_map
+    i1, j1, i2, j2 = images["x1"], images["y1"], images["x2"], images["y2"]
+    left, right = lift.symbol_form.tag.left.tag, lift.symbol_form.tag.right.tag
+    ok = True
+    ok &= (i1 * i1) == tw.one().scale(left.a)
+    ok &= (j1 * j1) == tw.one().scale(left.b)
+    ok &= (i1 * j1 + j1 * i1).is_zero()
+    ok &= (i2 * i2) == tw.one().scale(right.a)
+    ok &= (j2 * j2) == tw.one().scale(right.b)
+    ok &= (i2 * j2 + j2 * i2).is_zero()
+    # the two factors commute inside the tensor product
+    ok &= (i1 * i2) == (i2 * i1)
+    ok &= (j1 * j2) == (j2 * j1)
+    ok &= (i1 * j2) == (j2 * i1)
+    ok &= (i2 * j1) == (j1 * i2)
+    return bool(ok)
+
+
+def structure_constants_match(lift) -> bool:
+    """The generator map of an AlgebraLift extends to an isomorphism: the
+    images of the symbol-form basis have full rank, and every product of
+    two basis vectors maps to the product of their images."""
+    from skone.linalg import rank
+    symbol_form, twisted = lift.symbol_form, lift.twisted
+    basis_images = [_lift_monomial(lift, idx) for idx in range(symbol_form.dim)]
+    if rank([list(img.coords) for img in basis_images], twisted.base) != symbol_form.dim:
+        return False
+    for i in range(symbol_form.dim):
+        for j in range(symbol_form.dim):
+            prod = symbol_form.basis_element(i) * symbol_form.basis_element(j)
+            rhs = twisted.zero()
+            for k, coeff in enumerate(prod.coords):
+                if not coeff.is_zero():
+                    rhs = rhs + basis_images[k].scale(coeff)
+            if basis_images[i] * basis_images[j] != rhs:
+                return False
+    return True
 
 
 # --- involutions and the KMRT v ------------------------------------------------

@@ -17,11 +17,13 @@ from oracles import (
     IntQuot,
     all_witt_vectors,
     brute_dlog_mod_p,
+    check_lift_relations,
     ghost_check,
     nbar_oracle,
     qp_ternary_solvable,
     springer_brute_isotropy,
     square_class_rep_2,
+    structure_constants_match,
     tame_norm_oracle,
     witness_box_search,
 )
@@ -329,7 +331,7 @@ def test_criterion_09_lift_identities():
         A2 = tensor(p_algebra(F2, 1, 1), p_algebra(F2, 0, 1))
         datum = LiftDatum(F2, Q)
         res = lift_with_slots(A2, datum, [1, 3, 2, 5])
-        assert res.relations_verified and res.structure_constants_match
+        assert check_lift_relations(res) and structure_constants_match(res)
         # Kato's phi composed with residues: the double residue of
         # {1+4b, t1, t2, a3} equals the Hilbert pairing of (1+4b, a3)
         TL = parse_field("Qp(2)((t1))((t2))")

@@ -4,10 +4,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from oracles import _product, associativity_defect, involution_defect, left_mult_matrix
+from oracles import (
+    _product,
+    associativity_defect,
+    cyclic_presentation,
+    involution_defect,
+    left_mult_matrix,
+)
 
 from skone.algebras import (
-    _cyclic_presentation,
     Involution,
     albert_form,
     canonical_involution,
@@ -631,19 +636,20 @@ def test_zero_b_is_rejected(build):
 
 
 def test_sigma_not_a_ring_map_is_rejected():
-    # K = Q[u]/(u^2 - 2); sigma(u) = 1 - u has sigma^2 = id, but
+    # the oracle's relation checks, which the closed-form constructors hold
+    # by their formulas: K = Q[u]/(u^2 - 2); sigma(u) = 1 - u has sigma^2 = id, but
     # (1 - u)^2 = 3 - 2u != 2, so sigma is not a ring endomorphism of K
     with pytest.raises(InconsistentConstruction):
-        _cyclic_presentation(Q, [Q.elem(-2), Q.zero()], [Q.one(), -Q.one()],
-                             2, Q.elem(3), tag=None)
+        cyclic_presentation(Q, [Q.elem(-2), Q.zero()], [Q.one(), -Q.one()],
+                            2, Q.elem(3), tag=None)
 
 
 def test_sigma_of_wrong_order_is_rejected():
     # sigma(u) = -u is a ring automorphism of Q[u]/(u^2 - 2) of order 2,
     # so sigma^3 != id
     with pytest.raises(InconsistentConstruction):
-        _cyclic_presentation(Q, [Q.elem(-2), Q.zero()], [Q.zero(), -Q.one()],
-                             3, Q.elem(3), tag=None)
+        cyclic_presentation(Q, [Q.elem(-2), Q.zero()], [Q.zero(), -Q.one()],
+                            3, Q.elem(3), tag=None)
 
 
 def test_degree7_symbol_relations():
@@ -658,13 +664,16 @@ def test_degree7_symbol_relations():
 def _symbol_oracle(base, a, b, n, zeta):
     """(a, b)_n through the generic cyclic presentation: K = base[x]/(x^n - a),
     sigma(x) = zeta^{-1} x, with its relation checks and K-products."""
-    return _cyclic_presentation(base, [-a] + [base.zero()] * (n - 1),
-                                [base.zero(), zeta.inverse()], n, b, tag=None)
+    return cyclic_presentation(base, [-a] + [base.zero()] * (n - 1),
+                               [base.zero(), zeta.inverse()], n, b, tag=None)
 
 
 def _slot(T, s):
-    from skone.ktheory import laurent_var_element
-    return laurent_var_element(T, s) if isinstance(s, str) else T.elem(s)
+    """A slot over T: an int, or an expression in the Laurent variables and,
+    over F(q) with q not prime, its generator g."""
+    from skone.exprs import parse_element
+    binds = {"g": T.generator()} if isinstance(T, FiniteField) and T.e > 1 else {}
+    return parse_element(str(s), T, binds)
 
 
 @pytest.mark.parametrize("desc, n, a, b", [
@@ -692,21 +701,69 @@ def test_closed_form_symbol_matches_the_cyclic_presentation(desc, n, a, b):
     zeta, _ = primitive_root_of_unity(T, n)
     A = symbol_algebra(T, a, b, n, zeta)
     assert A._table is None
-    want = _symbol_oracle(T, a, b, n, zeta)
-    assert (A.labels, A.gens, A.degree) == (want.labels, want.gens, want.degree)
+    _assert_same_presentation(A, _symbol_oracle(T, a, b, n, zeta))
+
+
+def _assert_same_presentation(A, want):
+    """Labels, generators, degree, period bound, every table entry and the
+    regular representation (Lu, Lv) over K of A equal the oracle's."""
+    assert (A.labels, A.gens, A.degree, A.period_bound) == \
+        (want.labels, want.gens, want.degree, want.period_bound)
     for i in range(A.dim):
         for j in range(A.dim):
             got, exp = A.table[i][j], want.table[i][j]
             assert [k for k, _ in got] == [k for k, _ in exp], (i, j)
             assert all(c == d for (_, c), (_, d) in zip(got, exp)), (i, j)
-    K, (Lu, Lv), ext_deg, m = A._cyclic
-    K_want, (Lu_want, Lv_want), ext_deg_want, m_want = want._cyclic
-    assert (ext_deg, m) == (ext_deg_want, m_want)
+    K, Lu, Lv = A._cyclic
+    K_want, Lu_want, Lv_want = want._cyclic
+    assert (len(Lu), len(Lv)) == (len(Lu_want), len(Lv_want)) == (A.degree,) * 2
     assert all(c == d for c, d in zip(K.modulus, K_want.modulus))
     for M, M_want in ((Lu, Lu_want), (Lv, Lv_want)):
         for row, row_want in zip(M, M_want):
             for e, e_want in zip(row, row_want):
                 assert all(c == d for c, d in zip(e.vec, e_want.vec))
+
+
+@pytest.mark.parametrize("desc, a, b", [
+    ("F(2)", 1, 1), ("F(2)", 0, 1),
+    ("F(3)", 1, 2), ("F(3)", 2, 1), ("F(3)", 0, 2),
+    ("F(4)", "g", 1), ("F(4)", 1, "g+1"), ("F(4)", "g", "g"),
+    ("F(5)", 2, 3), ("F(5)", 1, 4), ("F(5)", 4, 2),
+    ("F(7)", 3, 5), ("F(7)", 6, 1),
+    ("F(9)", "g", 2), ("F(9)", 1, "g"), ("F(9)", "g+1", "g"),
+    ("F(2)((t))", "t", 1), ("F(2)((t))", 1, "t"), ("F(2)((t))", "t+1", "t"),
+    ("F(3)((t))", "t", 2), ("F(3)((t))", 2, "t"), ("F(3)((t))", "1/t", "t+2"),
+])
+def test_p_algebra_matches_the_cyclic_presentation(desc, a, b):
+    # [a, b)_p written from sigma^s(u) = u - s against the generic constructor,
+    # which walks sigma(u) = u - 1 and checks its relations
+    T = parse_field(desc)
+    a, b = _slot(T, a), _slot(T, b)
+    p = T.characteristic
+    A = p_algebra(T, a, b)
+    assert A._table is None
+    want = cyclic_presentation(T, [-a, -T.one()] + [T.zero()] * (p - 2),
+                               [-T.one(), T.one()], p, b, tag=None,
+                               gen_names=("u", "v"))
+    _assert_same_presentation(A, want)
+    assert A.period_bound == p
+
+
+@pytest.mark.parametrize("desc, a, b", [
+    ("Q", 1, 3), ("Q", 2, 5), ("Q", -3, 7), ("Q", 0, -1), ("Q", 5, 3),
+    ("Qp(2)", 1, 3), ("Qp(2)", 3, 2), ("Qp(2)", 5, 6), ("Qp(2)", 9, -1),
+    ("Q((t))", "t", 3), ("Q((t))", 2, "t"), ("Q((t))", 1, 5), ("Q((t))", "t", "t"),
+])
+def test_twisted_lift_matches_the_cyclic_presentation(desc, a, b):
+    # u^2 + u = a, v^2 = b, sigma(u) = -1 - u against the generic constructor
+    T = parse_field(desc)
+    a, b = _slot(T, a), _slot(T, b)
+    A = twisted_lift_quaternion(T, a, b)
+    assert A._table is None
+    want = cyclic_presentation(T, [-a, T.one()], [-T.one(), -T.one()], 2, b,
+                               tag=None, gen_names=("u", "v"))
+    _assert_same_presentation(A, want)
+    assert A.period_bound == 2
 
 
 def test_symbol_algebra_needs_a_primitive_root_of_unity():

@@ -70,6 +70,15 @@ def test_residue_with_a_wild_modulus_is_undecided(capsys):
     assert code == EXIT_UNDECIDED
 
 
+def test_char2_form_level_over_f2_is_certified(capsys):
+    # W_q(F_2) = Z/2 through the Arf invariant, so I^2_q(F_2) = 0
+    code, doc = run_json(capsys, ["--require-certificate", "form", "--field", "F(2)",
+                                  "pfister(1)", "--op", "level"])
+    assert code == EXIT_OK
+    assert doc["payload"]["i_level"]["level"] == 1
+    assert doc["payload"]["i_level"]["certified"] is True
+
+
 def test_residue_reads_k2_of_qp_mod_a_modulus_without_its_roots_of_unity(capsys):
     # K_2(Q_7)/4 = mu(Q_7)/4 = Z/2 (Moore): {3, 7} is read by the tame symbol
     code, doc = run_json(capsys, ["--require-certificate", "residue", "--field",

@@ -21,6 +21,7 @@ from skone.fields import FiniteField, PAdicDescriptor, Rationals, is_nth_power, 
 from skone.forms import (
     SIGNATURE_CLASS,
     QuadraticForm,
+    WittClass,
     arf_invariant,
     bilinear_mult,
     diagonalize_gram,
@@ -156,6 +157,35 @@ def test_char2_pfister_and_witt():
     assert q.dim == 4 and len(q.blocks) == 2
     c = witt_class(q)
     assert c.is_zero()  # slot 1 kills a Pfister form in char 2 as well
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_char2_i_level_over_a_finite_field_is_certified(q):
+    # the Arf invariant is an isomorphism W_q(F_q) = Z/2: a nonzero class is
+    # in I_q \ I^2_q = 0, the zero class in every I^n_q
+    F = FiniteField(q)
+    units = [x for x in F.elements() if not x.is_zero()]
+    levels = set()
+    for a in units:
+        for b in F.elements():
+            binary = QuadraticForm(F, (), [(a, b)])
+            lvl = i_level(witt_class(binary))
+            nonzero = not artin_schreier_roots(a * b)
+            assert lvl.certified, (a, b)
+            assert lvl.level == (1 if nonzero else 4), (a, b)
+            levels.add(lvl.level)
+            double = QuadraticForm(F, (), [(a, b), (a, b)])
+            assert i_level(witt_class(double)).level == 4
+    assert levels == {1, 4}
+
+
+def test_char2_i_level_over_laurent_towers_stays_unverified():
+    from skone.ktheory import laurent_var_element
+    T = parse_field("F(2)((t))")
+    t = laurent_var_element(T, "t")
+    c = WittClass(T, QuadraticForm(T, (), [(T.one(), t)]))
+    lvl = i_level(c)
+    assert (lvl.level, lvl.certified) == (1, False)
 
 
 def test_hilbert_symbol_product_formula():

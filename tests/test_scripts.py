@@ -1,5 +1,7 @@
+import os
 import pathlib
 import runpy
+import subprocess
 import sys
 
 SCRIPTS = pathlib.Path(__file__).parents[1] / "scripts"
@@ -36,3 +38,21 @@ def test_platonov_demo_script(monkeypatch, capsys):
     assert code == 0
     assert "SK1(A) = Z/2 " in out
     assert "SK1 nontrivial witness: True" in out
+
+
+def test_reachability_script_lists_uncalled_functions():
+    # one small test file: linalg is called, the CLI entry point is not
+    root = SCRIPTS.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "reachability.py"),
+         str(root / "tests" / "test_linalg_poly.py")],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    head = next(i for i, line in enumerate(lines) if line.startswith("uncalled: "))
+    listed = {line.split(" (line ")[0] for line in lines[head + 1:]}
+    assert int(lines[head].split()[1]) == len(listed)
+    assert {"skone.cli:main", "skone.wittvec:lift_algebra"} <= listed
+    assert not {"skone.linalg:rank", "skone.linalg:rref"} & listed

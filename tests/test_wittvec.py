@@ -8,8 +8,10 @@ from oracles import (
     all_witt_vectors,
     artin_schreier_image,
     brute_character_order,
+    check_lift_relations,
     ghost_check,
     greedy_as_solution,
+    structure_constants_match,
     sympy_witt_polynomials,
 )
 from skone.algebras import p_algebra, symbol_algebra, tensor
@@ -252,22 +254,52 @@ def test_lift_algebra_numeric_instance():
     F2 = FiniteField(2)
     A = tensor(p_algebra(F2, 1, 1), p_algebra(F2, 0, 1))
     datum = LiftDatum(F2, Rationals())
-    lifted = {str(F2.elem(0)): None}
     # declared lifts: a=1->1, b=1->3, c=0->2, d=1->5 cannot reuse residue keys,
     # so drive the lift through a bespoke datum with per-slot declarations
     res = lift_with_slots(A, datum, [1, 3, 2, 5])
-    assert res.relations_verified
-    assert res.structure_constants_match
+    assert check_lift_relations(res)
+    assert structure_constants_match(res)
     tags = res.symbol_form.tag
     assert str(tags.left.tag.a) == "5" and str(tags.left.tag.b) == "3"
     assert str(tags.right.tag.a) == "9" and str(tags.right.tag.b) == "5"
 
 
+@pytest.mark.parametrize("algebra, residue, fraction, lifts", [
+    ((1, 1, 0, 1), "F(2)", "Q", ()),
+    ((1, 1, 0, 1), "F(2)", "Qp(2)", ()),
+    ((1, 1, 1, 1), "F(2)", "Q", ((1, 3),)),
+    ((1, 1, 0, 1), "F(2)", "Q((t))", ((1, -7),)),
+])
+def test_lift_algebra_holds_by_construction(algebra, residue, fraction, lifts):
+    # lift_algebra checks nothing at run time; the oracles check both facts
+    F, K = parse_field(residue), parse_field(fraction)
+    a, b, c, d = algebra
+    A = tensor(p_algebra(F, a, b), p_algebra(F, c, d))
+    datum = LiftDatum(F, K)
+    for r, l in lifts:
+        datum.declare(r, l)
+    res = lift_algebra(A, datum)
+    assert check_lift_relations(res)
+    assert structure_constants_match(res)
+    want = [K.elem(4) * datum.lift(x) + K.elem(1) for x in (a, c)]
+    assert [res.symbol_form.tag.left.tag.a, res.symbol_form.tag.right.tag.a] == want
+
+
+def test_lift_oracles_reject_a_wrong_generator_map():
+    F2 = FiniteField(2)
+    res = lift_with_slots(tensor(p_algebra(F2, 1, 1), p_algebra(F2, 0, 1)),
+                          LiftDatum(F2, Rationals()), [1, 3, 2, 5])
+    # x1 -> 2u1 - 1 squares to 4a + 1 - 8u1, not to 4a + 1
+    res.generator_map["x1"] = res.twisted.generator("u1").scale(2) - res.twisted.one()
+    assert not check_lift_relations(res)
+    assert not structure_constants_match(res)
+
+
 def lift_with_slots(A, datum, slots):
-    """Helper: lift with explicit integer lifts for (a, b, c, d)."""
+    """Helper: lift_algebra's construction with explicit integer lifts for
+    (a, b, c, d)."""
     from skone.algebras import symbol_algebra, twisted_lift_quaternion
-    from skone.wittvec import AlgebraLift, _check_lift_relations, \
-        _structure_constants_match
+    from skone.wittvec import AlgebraLift
     K = datum.fraction_tower
     a, b, c, d = (K.elem(s) for s in slots)
     four, one = K.elem(4), K.elem(1)
@@ -282,10 +314,7 @@ def lift_with_slots(A, datum, slots):
         "x2": twisted.generator("u2").scale(two) + twisted.one(),
         "y2": twisted.generator("v2"),
     }
-    relations = _check_lift_relations(twisted, images, four * a + one, b,
-                                      four * c + one, d)
-    match = _structure_constants_match(symbol_form, twisted, images)
-    return AlgebraLift(twisted, symbol_form, images, relations, match)
+    return AlgebraLift(twisted, symbol_form, images)
 
 
 def test_character_orders():
