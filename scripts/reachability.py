@@ -12,6 +12,7 @@ With no arguments it runs the tier-1 suite (``tests``).
 """
 
 import importlib.util
+import inspect
 import pathlib
 import sys
 import threading
@@ -24,15 +25,20 @@ def defined_functions() -> dict:
     out = {}
     for path in sorted(src.glob("*.py")):
         module = f"skone.{path.stem}" if path.stem != "__init__" else "skone"
-        stack = [compile(path.read_text(), str(path), "exec")]
+        # (code object, the qualname prefix of what it defines)
+        stack = [(compile(path.read_text(), str(path), "exec"), "")]
         while stack:
-            code = stack.pop()
+            code, prefix = stack.pop()
             for const in code.co_consts:
                 if hasattr(const, "co_code"):
-                    stack.append(const)
+                    qualname = prefix + const.co_name
+                    # a function body scopes its children under <locals>,
+                    # a class body does not
+                    scope = ".<locals>." if const.co_flags & inspect.CO_NEWLOCALS else "."
+                    stack.append((const, qualname + scope))
                     if not const.co_name.startswith("<"):
                         key = (str(path), const.co_firstlineno, const.co_name)
-                        out[key] = f"{module}:{const.co_qualname}"
+                        out[key] = f"{module}:{qualname}"
     return out
 
 

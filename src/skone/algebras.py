@@ -147,6 +147,10 @@ class AlgElement:
         c = self.algebra.base.elem(c)
         return AlgElement(self.algebra, [c * a for a in self.coords])
 
+    def __truediv__(self, other):
+        o = self.algebra.coerce(other)
+        return self * self.algebra.inverse(o)
+
     def __pow__(self, n: int):
         if n < 0:
             return self.algebra.inverse(self) ** (-n)
@@ -573,7 +577,6 @@ def _cyclic_presentation(base: FieldTower, ext_modulus, sigma_powers, b: FieldEl
                               degree=n, gens={"u": n if n > 1 else 0, "v": 1},
                               table_factory=build_table)
     alg._cyclic = (K, *_regular_rep(K, [spows[(-j) % n] for j in range(n)], b))
-    alg.period_bound = n
     return alg
 
 
@@ -666,7 +669,6 @@ def symbol_algebra(base: FieldTower, a, b, n: int,
                               gens={"x": n if n > 1 else 0, "y": 1},
                               table_factory=build_table)
     alg._cyclic = (K, *_regular_rep(K, diag, b))
-    alg.period_bound = n
     return alg
 
 

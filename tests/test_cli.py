@@ -242,6 +242,23 @@ def test_invariant_kmrt(capsys):
     assert "KMRT" in doc["payload"]["invariants"]
 
 
+def test_invariant_kmrt_element_with_division(capsys):
+    # '/' in an algebra element multiplies by the inverse: 3*x1/3 is x1
+    argv = ["invariant", "kmrt", "--field", "Q",
+            "--algebra", "symbol(-1;-1;2) (*) symbol(-1;3;2)", "--element"]
+    docs = []
+    for element in ["x1", "3*x1/3"]:
+        code, doc = run_json(capsys, argv + [element])
+        assert code == EXIT_OK
+        del doc["payload"]["inputs"]["element"]
+        docs.append(doc["payload"])
+    assert docs[0] == docs[1]
+    # x1/2 parses, and has reduced norm 1/16
+    code, doc = run_json(capsys, argv + ["x1/2"])
+    assert code == EXIT_USAGE
+    assert doc["message"] == "a is not in SL1 (Nrd != 1)"
+
+
 def test_unsupported_tower_exit(capsys):
     code = run(["form", "--field", "Q[zeta_4]", "diag(1,2)"])
     assert code == EXIT_UNSUPPORTED
